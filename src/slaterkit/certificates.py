@@ -3,9 +3,9 @@
 When the feasible set touches the box boundary everywhere, that fact has a
 finite witness: a nonzero density built from the constraint slopes whose
 sign pattern pins every feasible point to the active bounds.  This module
-searches for such a witness, turns it into an objective slope for which
-multipliers must degenerate, and measures how the minimal multiplier size
-grows as the discretization is refined.
+finds such a witness with one LP over per-atom sign rows, turns it into an
+objective slope for which multipliers must degenerate, and measures how the
+minimal multiplier size grows as the discretization is refined.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from .errors import (
     NumericalFailureError,
     PreconditionError,
 )
-from .model import DEFAULT_TOL, MeasureSpace, Problem, check_feasible, pairing
+from .model import (
+    DEFAULT_TOL,
+    MeasureSpace,
+    Problem,
+    bound_activity,
+    check_feasible,
+    row_activity,
+)
 from .preprocess import MfcqSystem, build_mfcq_system
 from .slater import find_slater
 from .kkt import recover_multipliers_linear, verify_stationarity
@@ -67,69 +74,16 @@ class NoSlaterCertificate:
         return max(self.sign_residual, self.combination_residual)
 
 
-def _active_tilde(system: MfcqSystem, xbar: np.ndarray, tol: float) -> list[int]:
-    act = []
-    for i, (g, a) in enumerate(system.ineq):
-        if abs(pairing(system.space, g, xbar) - a) <= tol * max(1.0, abs(a)):
-            act.append(i)
-    return act
-
-
-def _bound_masks(prob: Problem, x: np.ndarray, tol: float):
-    scale = np.maximum(1.0, np.abs(x))
-    at_lo = np.isfinite(prob.lower) & (x - prob.lower <= tol * scale)
-    at_hi = np.isfinite(prob.upper) & (prob.upper - x <= tol * scale)
-    return at_lo & ~at_hi, at_hi & ~at_lo, ~(at_lo | at_hi)
-
-
-def _sign_rows(prob: Problem, xbar: np.ndarray, cols: np.ndarray, tol: float):
-    """Per-atom sign constraints on ``zeta = cols @ v``.
-
-    Atoms with the lower bound active require ``zeta >= 0``, upper bound
-    active ``zeta <= 0``, interior atoms ``zeta == 0``.
-    """
-    lo_only, hi_only, interior = _bound_masks(prob, xbar, tol)
-    rows, rel, rhs = [], [], []
-    for i in range(prob.size):
-        if lo_only[i]:
-            rows.append(cols[i])
-            rel.append(">=")
-            rhs.append(0.0)
-        elif hi_only[i]:
-            rows.append(cols[i])
-            rel.append("<=")
-            rhs.append(0.0)
-        elif interior[i]:
-            rows.append(cols[i])
-            rel.append("==")
-            rhs.append(0.0)
-        # atoms squeezed onto both bounds constrain nothing
-    return rows, rel, rhs
-
-
-def _certificate_columns(system: MfcqSystem, active: list[int]):
-    """Column matrix whose combinations form candidate densities."""
-    m = system.space.size
-    gs = [np.asarray(system.ineq[i][0], dtype=float) for i in active]
-    hs = [np.asarray(h, dtype=float) for h, _ in system.eq]
-    cols = np.zeros((m, len(gs) + len(hs)))
-    for k, g in enumerate(gs):
-        cols[:, k] = g
-    for k, h in enumerate(hs):
-        cols[:, len(gs) + k] = h
-    return cols
-
-
 def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
                                 tol: float = DEFAULT_TOL,
                                 slater_report=None) -> NoSlaterCertificate:
     """Search for a density certifying that no interior point exists.
 
     The interior-point search must already have come up empty; this
-    routine re-runs it and refuses to certify otherwise.  The certificate
-    is sought first by a single LP maximizing the inequality content (which
-    also proves the density nonzero), then by per-atom probes that handle
-    purely equality-generated certificates.
+    routine re-runs it and refuses to certify otherwise.  After the
+    rewrite (:func:`slaterkit.preprocess.build_mfcq_system`, one LP) the
+    certificate comes from a single LP over the sign rows, which also finds
+    certificates made of equality slopes alone.
 
     Parameters
     ----------
@@ -174,28 +128,29 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
             f"{worst.residual:.3g}")
 
     system = build_mfcq_system(prob, tol)
-    active = _active_tilde(system, xbar, tol)
-    cols = _certificate_columns(system, active)
-    n_lam, n_mu = len(active), len(system.eq)
+    active = np.nonzero(row_activity(system.G_w, system.a, xbar, tol))[0]
+    n_lam = active.size
+    # the density is a combination of the unweighted slopes; the sign rows
+    # use the weighted ones, which have the same signs
+    slopes = [system.ineq[i][0] for i in active] + [h for h, _ in system.eq]
+    cols = np.array(slopes, dtype=float).reshape(-1, prob.size).T
+    wcols = np.vstack([system.G_w[active], system.H_w]).T
+    both, lo_only, hi_only, interior = bound_activity(prob, xbar, tol)
 
-    cand = _phase_main(prob, system, xbar, cols, active, tol)
-    if cand is None:
-        cand = _phase_atomwise(prob, system, xbar, cols, active, tol)
-    if cand is None:
+    v = _certificate_lp(cols, wcols, both, lo_only, hi_only, n_lam, tol)
+    if v is None:
         raise CertificateNotFoundError(
             "no certificate cleared the working tolerance; this reports a "
             "numerical limit, not the existence of an interior point")
-    lam_vec, mu_vec = cand
-    zeta = cols @ np.concatenate([lam_vec, mu_vec])
+    zeta = cols @ v
     norm = float(np.max(np.abs(zeta)))
     if norm <= tol:
         raise CertificateNotFoundError(
             "candidate density vanished under normalization")
     zeta /= norm
-    lam_vec = lam_vec / norm
-    mu_vec = mu_vec / norm
+    lam_vec = v[:n_lam] / norm
+    mu_vec = v[n_lam:] / norm
 
-    lo_only, hi_only, interior = _bound_masks(prob, xbar, tol)
     sign_res = max(
         float(np.max(-zeta[lo_only], initial=0.0)),
         float(np.max(zeta[hi_only], initial=0.0)),
@@ -207,7 +162,7 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     support_pos = tuple(int(i) for i in np.nonzero(zeta > tol)[0])
     support_neg = tuple(int(i) for i in np.nonzero(zeta < -tol)[0])
     cert = NoSlaterCertificate(
-        zeta=zeta, lam={active[k]: float(v) for k, v in enumerate(lam_vec)},
+        zeta=zeta, lam={int(i): float(v) for i, v in zip(active, lam_vec)},
         mu=mu_vec, system=system, base_point=xbar,
         sign_residual=sign_res, combination_residual=comb_res,
         support_positive=support_pos, support_negative=support_neg,
@@ -219,70 +174,32 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     return cert
 
 
-def _phase_main(prob: Problem, system: MfcqSystem, xbar, cols, active, tol):
-    """One LP: maximize the pairing of the density against the gap between
-    the base point and the rewrite witness, under the sign pattern.
+def _certificate_lp(cols, wcols, both, lo_only, hi_only, n_lam, tol):
+    """One LP for the weights ``v = (lam, mu)`` of the density ``cols @ v``.
 
-    Variables are the inequality weights and split equality weights,
-    normalized to total mass one.  A positive optimum forces the density
-    nonzero: at an active inequality the gap pairing equals the witness
-    slack, which is strictly positive.
+    Sign rows, one per atom not squeezed onto both bounds, ask the density
+    to be nonnegative where only the lower bound is active, nonpositive
+    where only the upper bound is, and zero elsewhere; ``lam`` lies in
+    ``[0, 1]`` and ``mu`` in ``[-1, 1]``.  The LP maximizes the sum of the
+    density over lower-active atoms minus its sum over upper-active atoms.
+    Under the sign rows every term is nonnegative, so the optimum is
+    positive exactly when some certificate exists (any certificate scales
+    into the box).  Returns ``v``, or None when the optimum is not above
+    ``tol``.
     """
-    n_lam, n_mu = len(active), len(system.eq)
-    nv = n_lam + 2 * n_mu
+    nv = wcols.shape[1]
     if nv == 0:
         return None
-    ext = np.zeros((prob.size, nv))
-    ext[:, :n_lam] = cols[:, :n_lam]
-    ext[:, n_lam:n_lam + n_mu] = cols[:, n_lam:]
-    ext[:, n_lam + n_mu:] = -cols[:, n_lam:]
-    wrows, wrel, wrhs = _sign_rows(prob, xbar, ext * prob.space.weights[:, None], tol)
-    wrows.append(np.ones(nv))
-    wrel.append("==")
-    wrhs.append(1.0)
-    A = np.array(wrows)
-    gap = xbar - system.witness
-    c = np.array([pairing(system.space, ext[:, k], gap) for k in range(nv)])
+    atoms = np.nonzero(~both)[0]
+    rel = np.where(lo_only, ">=", np.where(hi_only, "<=", "=="))[atoms]
+    c = (lo_only.astype(float) - hi_only) @ cols
+    lo = np.concatenate([np.zeros(n_lam), -np.ones(nv - n_lam)])
     out = lpmod.solve(lpmod.LinearProgram(
-        c, A, tuple(wrel), np.array(wrhs),
-        np.zeros(nv), np.full(nv, math.inf)), tol=tol)
+        c, wcols[atoms], tuple(rel.tolist()), np.zeros(atoms.size), lo, np.ones(nv)),
+        tol=tol)
     if out.status is not lpmod.LpStatus.OPTIMAL or out.value <= tol:
         return None
-    lam_vec = out.x[:n_lam]
-    mu_vec = out.x[n_lam:n_lam + n_mu] - out.x[n_lam + n_mu:]
-    zeta = cols @ np.concatenate([lam_vec, mu_vec])
-    if float(np.max(np.abs(zeta), initial=0.0)) <= tol:
-        return None
-    return lam_vec, mu_vec
-
-
-def _phase_atomwise(prob: Problem, system: MfcqSystem, xbar, cols, active, tol):
-    """Per-atom probes: push the density away from zero one atom at a time.
-
-    Handles certificates made purely of equality slopes, where split
-    weights can cancel and the mass normalization says nothing about the
-    density itself.  Variables are box-bounded, so each probe is a bounded
-    LP; any true certificate scales into its box and shows up at some atom.
-    """
-    n_lam, n_mu = len(active), len(system.eq)
-    nv = n_lam + n_mu
-    if nv == 0:
-        return None
-    wcols = cols * prob.space.weights[:, None]
-    wrows, wrel, wrhs = _sign_rows(prob, xbar, wcols, tol)
-    A = np.array(wrows) if wrows else np.zeros((0, nv))
-    lo = np.concatenate([np.zeros(n_lam), -np.ones(n_mu)])
-    hi = np.ones(nv)
-    lo_only, hi_only, _ = _bound_masks(prob, xbar, tol)
-    probe_atoms = ([(i, 1.0) for i in np.nonzero(lo_only)[0]]
-                   + [(i, -1.0) for i in np.nonzero(hi_only)[0]])
-    for atom, sign in probe_atoms:
-        c = sign * cols[atom]
-        out = lpmod.solve(lpmod.LinearProgram(
-            c, A, tuple(wrel), np.array(wrhs), lo, hi), tol=tol)
-        if out.status is lpmod.LpStatus.OPTIMAL and out.value > tol:
-            return out.x[:n_lam], out.x[n_lam:]
-    return None
+    return out.x
 
 
 def build_bad_functional(prob: Problem, xbar: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import InfeasiblePointError, NumericalFailureError, PreconditionError
-from .model import DEFAULT_TOL, Problem, check_feasible, pairing, regions
+from .model import DEFAULT_TOL, Problem, bound_activity, pairing, regions, row_activity
 
 __all__ = [
     "Decomposition",
@@ -37,27 +37,18 @@ def _vec(prob: Problem, v, name: str) -> np.ndarray:
     return arr
 
 
-def _box_masks(prob: Problem, x: np.ndarray, tol: float):
-    """(both, lower-only, upper-only, free) activity masks for the box."""
-    scale = tol * np.maximum(1.0, np.abs(x))
-    at_lower = np.isfinite(prob.lower) & (np.abs(x - prob.lower) <= scale)
-    at_upper = np.isfinite(prob.upper) & (np.abs(x - prob.upper) <= scale)
-    both = at_lower & at_upper
-    return both, at_lower & ~both, at_upper & ~both, ~at_lower & ~at_upper
-
-
 def _require_in_box(prob: Problem, x: np.ndarray, tol: float):
     if np.any(x < prob.lower - tol) or np.any(x > prob.upper + tol):
         raise InfeasiblePointError("point lies outside the box")
 
 
 def _require_in_poly(prob: Problem, x: np.ndarray, tol: float):
-    for i, (g, a) in enumerate(prob.ineq):
-        if pairing(prob.space, g, x) > a + tol:
-            raise InfeasiblePointError(f"inequality {i} violated")
-    for j, (h, b) in enumerate(prob.eq):
-        if abs(pairing(prob.space, h, x) - b) > tol:
-            raise InfeasiblePointError(f"equality {j} violated")
+    bad = np.nonzero(~(prob.G_w @ x <= prob.a + tol))[0]
+    if bad.size:
+        raise InfeasiblePointError(f"inequality {bad[0]} violated")
+    bad = np.nonzero(~(np.abs(prob.H_w @ x - prob.b) <= tol))[0]
+    if bad.size:
+        raise InfeasiblePointError(f"equality {bad[0]} violated")
 
 
 def tangent_K_contains(prob: Problem, x, h, tol: float = DEFAULT_TOL) -> bool:
@@ -66,7 +57,7 @@ def tangent_K_contains(prob: Problem, x, h, tol: float = DEFAULT_TOL) -> bool:
     x = _vec(prob, x, "x")
     h = _vec(prob, h, "h")
     _require_in_box(prob, x, tol)
-    both, lower_only, upper_only, _ = _box_masks(prob, x, tol)
+    both, lower_only, upper_only, _ = bound_activity(prob, x, tol)
     if np.any(h[lower_only | both] < -tol):
         return False
     if np.any(h[upper_only | both] > tol):
@@ -109,7 +100,7 @@ def normal_K_contains(prob: Problem, x, zeta, tol: float = DEFAULT_TOL) -> bool:
     x = _vec(prob, x, "x")
     zeta = _vec(prob, zeta, "zeta")
     _require_in_box(prob, x, tol)
-    _, lower_only, upper_only, free = _box_masks(prob, x, tol)
+    _, lower_only, upper_only, free = bound_activity(prob, x, tol)
     if np.any(zeta[lower_only] > tol):
         return False
     if np.any(zeta[upper_only] < -tol):
@@ -125,14 +116,10 @@ def tangent_P_contains(prob: Problem, x, y, tol: float = DEFAULT_TOL) -> bool:
     x = _vec(prob, x, "x")
     y = _vec(prob, y, "y")
     _require_in_poly(prob, x, tol)
-    for i, (g, a) in enumerate(prob.ineq):
-        if abs(pairing(prob.space, g, x) - a) <= tol * max(1.0, abs(a)):
-            if pairing(prob.space, g, y) > tol:
-                return False
-    for h, _ in prob.eq:
-        if abs(pairing(prob.space, h, y)) > tol:
-            return False
-    return True
+    active = row_activity(prob.G_w, prob.a, x, tol)
+    if np.any(prob.G_w[active] @ y > tol):
+        return False
+    return not np.any(np.abs(prob.H_w @ y) > tol)
 
 
 @dataclass(frozen=True)
@@ -177,40 +164,23 @@ def decompose_into_normal_sum(prob: Problem, x: np.ndarray, xi: np.ndarray,
     tangent to box and polyhedron and pairs positively with ``xi``.
     """
     extra = extra or []
-    masks = _box_masks(prob, x, tol)
+    masks = bound_activity(prob, x, tol)
     both, lower_only, upper_only, free = masks
     active = sorted(active_ineq)
     m_eq = prob.n_eq
     n_alpha, n_gamma = len(active), len(extra)
     nv = n_alpha + 2 * m_eq + n_gamma
 
-    gens = []  # per-variable generator vectors, in column order
-    for k in active:
-        gens.append(prob.ineq[k][0])
-    for j in range(m_eq):
-        gens.append(prob.eq[j][0])
-    for j in range(m_eq):
-        gens.append(-prob.eq[j][0])
-    for e in extra:
-        gens.append(np.asarray(e, dtype=float))
+    gens = ([prob.ineq[k][0] for k in active] + [h for h, _ in prob.eq]
+            + [-h for h, _ in prob.eq] + [np.asarray(e, dtype=float) for e in extra])
     G = np.array(gens).T if gens else np.zeros((prob.size, 0))  # atoms x vars
 
-    rows, rel, rhs, atom_of_row = [], [], [], []
-    for i in range(prob.size):
-        if both[i]:
-            continue
-        rows.append(G[i])
-        rhs.append(xi[i])
-        atom_of_row.append(i)
-        if lower_only[i]:
-            rel.append(">=")
-        elif upper_only[i]:
-            rel.append("<=")
-        else:
-            rel.append("==")
-    A = np.array(rows) if rows else np.zeros((0, nv))
+    # one row per atom not squeezed onto both bounds: zeta = xi - G v keeps
+    # the box normal-cone sign
+    atom_of_row = np.nonzero(~both)[0]
+    rel = np.where(lower_only, ">=", np.where(upper_only, "<=", "=="))[atom_of_row]
     c = -np.ones(nv)  # maximize the negative total mass
-    prog = lpmod.LinearProgram(c, A, tuple(rel), np.array(rhs),
+    prog = lpmod.LinearProgram(c, G[atom_of_row], tuple(rel.tolist()), xi[atom_of_row],
                                np.zeros(nv), np.full(nv, math.inf))
     out = lpmod.solve(prog, tol=tol)
     if out.status is lpmod.LpStatus.OPTIMAL:
@@ -223,8 +193,7 @@ def decompose_into_normal_sum(prob: Problem, x: np.ndarray, xi: np.ndarray,
     if out.status is lpmod.LpStatus.INFEASIBLE:
         lam = out.farkas.row_mult
         d = np.zeros(prob.size)
-        for r, i in enumerate(atom_of_row):
-            d[i] = -lam[r] / prob.space.weights[i]
+        d[atom_of_row] = -lam / prob.space.weights[atom_of_row]
         nrm = float(np.max(np.abs(d)))
         if nrm <= 0.0:
             raise NumericalFailureError("empty separating direction")

@@ -34,7 +34,14 @@ __all__ = [
 def _number(v, field: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FileFormatError(f"field {field!r} must be a number, got {v!r}")
-    return float(v)
+    try:
+        out = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        # JSON NaN/Infinity literals; infinite bounds use the "inf" strings
+        raise FileFormatError(f"field {field!r} must be finite, got {v!r}")
+    return out
 
 
 def _bound_entry(v, field: str) -> float:

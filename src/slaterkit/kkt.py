@@ -308,10 +308,10 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
                            * prob.space.weights[fin_lo]))
     comp_hi = float(np.sum(mult.zeta_upper[fin_hi] * (prob.upper - xbar)[fin_hi]
                            * prob.space.weights[fin_hi]))
-    comp_ineq = 0.0
-    for i, w in mult.alpha.items():
-        g, a = prob.ineq[i]
-        comp_ineq = max(comp_ineq, abs(w * (a - pairing(prob.space, g, xbar))))
+    idx = np.array(list(mult.alpha), dtype=int)
+    slack = prob.a[idx] - prob.G_w[idx] @ xbar
+    comp_ineq = float(np.max(np.abs(np.fromiter(mult.alpha.values(), float) * slack),
+                             initial=0.0))
     for i, w in mult.gamma.items():
         comp_ineq = max(comp_ineq, abs(w * prob.nonlinear[i].value(xbar)))
 

@@ -37,6 +37,9 @@ __all__ = [
     "lp_norm",
     "check_feasible",
     "regions",
+    "weighted_rows",
+    "bound_activity",
+    "row_activity",
 ]
 
 #: Default tolerance used by feasibility and activity classification.
@@ -54,6 +57,23 @@ def _as_vector(values, size: int | None = None, name: str = "vector") -> np.ndar
             f"{name} has length {arr.shape[0]}, expected {size}"
         )
     return arr
+
+
+def weighted_rows(space: "MeasureSpace", rows) -> tuple[np.ndarray, np.ndarray]:
+    """Stack ``(vector, rhs)`` rows into read-only ``(V * w, rhs)`` arrays.
+
+    Row ``k`` of the matrix is ``rows[k][0] * weights``, so the matrix times
+    a point gives every weighted pairing at once.  This is the only place
+    the package multiplies constraint rows by the atom weights.
+    """
+    if rows:
+        V = np.array([g for g, _ in rows], dtype=float) * space.weights
+    else:
+        V = np.zeros((0, space.size))
+    rhs = np.array([float(r) for _, r in rows])
+    V.setflags(write=False)
+    rhs.setflags(write=False)
+    return V, rhs
 
 
 @dataclass(frozen=True)
@@ -157,6 +177,13 @@ class Problem:
     ineq: tuple = ()
     eq: tuple = ()
     nonlinear: tuple = ()
+    #: Weighted inequality rows ``g * w`` (one per row, read-only) and their
+    #: right-hand sides, so that ``G_w @ x`` gives every pairing ``<g, x>``.
+    G_w: np.ndarray = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Weighted equality rows ``h * w`` and their right-hand sides.
+    H_w: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.space.size
@@ -189,6 +216,12 @@ class Problem:
         object.__setattr__(self, "ineq", ineq)
         object.__setattr__(self, "eq", eq)
         object.__setattr__(self, "nonlinear", tuple(self.nonlinear))
+        G_w, a = weighted_rows(self.space, ineq)
+        H_w, b = weighted_rows(self.space, eq)
+        object.__setattr__(self, "G_w", G_w)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "H_w", H_w)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def _frozen(values, size, name) -> np.ndarray:
@@ -209,18 +242,6 @@ class Problem:
     @property
     def n_eq(self) -> int:
         return len(self.eq)
-
-    def ineq_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked inequality rows (n_ineq x size) and right-hand sides."""
-        if not self.ineq:
-            return np.zeros((0, self.size)), np.zeros(0)
-        return np.vstack([g for g, _ in self.ineq]), np.array([a for _, a in self.ineq])
-
-    def eq_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked equality rows (n_eq x size) and right-hand sides."""
-        if not self.eq:
-            return np.zeros((0, self.size)), np.zeros(0)
-        return np.vstack([h for h, _ in self.eq]), np.array([b for _, b in self.eq])
 
 
 def conjugate_exponent(p: float) -> float:
@@ -281,28 +302,48 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     A point passes when ``lower - tol <= x <= upper + tol`` pointwise, every
     inequality holds up to ``tol``, every equality holds within ``tol``, and
     every smooth constraint value is ``<= tol``.  The report lists every
-    violated constraint together with its residual.
+    violated constraint together with its residual.  A NaN coordinate
+    passes no comparison, so it shows up as a violation.
     """
     xv = _as_vector(x, prob.size, "x")
-    bad: list[Violation] = []
     lo, hi = prob.lower, prob.upper
-    for i in np.nonzero(xv < lo - tol)[0]:
-        bad.append(Violation("lower", int(i), float(lo[i] - xv[i])))
-    for i in np.nonzero(xv > hi + tol)[0]:
-        bad.append(Violation("upper", int(i), float(xv[i] - hi[i])))
-    for i, (g, a) in enumerate(prob.ineq):
-        val = pairing(prob.space, g, xv)
-        if val > a + tol:
-            bad.append(Violation("ineq", i, float(val - a)))
-    for j, (h, b) in enumerate(prob.eq):
-        val = pairing(prob.space, h, xv)
-        if abs(val - b) > tol:
-            bad.append(Violation("eq", j, float(abs(val - b))))
+    bad = [Violation("lower", int(i), float(lo[i] - xv[i]))
+           for i in np.nonzero(~(xv >= lo - tol))[0]]
+    bad += [Violation("upper", int(i), float(xv[i] - hi[i]))
+            for i in np.nonzero(~(xv <= hi + tol))[0]]
+    val = prob.G_w @ xv
+    bad += [Violation("ineq", int(i), float(val[i] - prob.a[i]))
+            for i in np.nonzero(~(val <= prob.a + tol))[0]]
+    miss = np.abs(prob.H_w @ xv - prob.b)
+    bad += [Violation("eq", int(j), float(miss[j]))
+            for j in np.nonzero(~(miss <= tol))[0]]
     for i, con in enumerate(prob.nonlinear):
         val = con.value(xv)
-        if val > tol:
+        if not val <= tol:
             bad.append(Violation("nonlinear", i, float(val)))
     return FeasibilityReport(not bad, tuple(bad))
+
+
+def bound_activity(prob: Problem, x: np.ndarray, tol: float = DEFAULT_TOL):
+    """Boolean masks ``(both, lower_only, upper_only, free)`` of bound activity.
+
+    The bound at atom ``i`` is active when it is finite and
+    ``x[i] - lower[i] <= tol * max(1, |x[i]|)`` (for the upper bound
+    ``upper[i] - x[i] <= ...``).  The rule is one-sided, so a point slightly
+    outside the box counts as sitting on the bound it crossed; callers check
+    box membership first, at ``tol`` or a looser multiple of it.
+    """
+    scale = tol * np.maximum(1.0, np.abs(x))
+    at_lower = np.isfinite(prob.lower) & (x - prob.lower <= scale)
+    at_upper = np.isfinite(prob.upper) & (prob.upper - x <= scale)
+    both = at_lower & at_upper
+    return both, at_lower & ~both, at_upper & ~both, ~(at_lower | at_upper)
+
+
+def row_activity(G_w: np.ndarray, a: np.ndarray, x: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Mask of weighted rows active at ``x``: ``|G_w x - a| <= tol * max(1, |a|)``."""
+    return np.abs(G_w @ x - a) <= tol * np.maximum(1.0, np.abs(a))
 
 
 @dataclass(frozen=True)
@@ -310,9 +351,9 @@ class RegionPartition:
     """Partition of the atoms by bound activity, plus active constraint sets.
 
     The four index arrays are disjoint and cover every atom.  An infinite
-    bound is never active.  Activity of a bound at atom ``i`` means
-    ``|x[i] - bound[i]| <= tol * max(1, |x[i]|)``; activity of a linear or
-    smooth constraint means its residual is within the same relative band.
+    bound is never active.  Bound activity follows :func:`bound_activity`
+    and linear-row activity :func:`row_activity`; a smooth constraint is
+    active when its value is within ``tol`` of zero.
     """
 
     idx_both_active: np.ndarray
@@ -321,15 +362,6 @@ class RegionPartition:
     idx_free: np.ndarray
     lin_active: tuple[int, ...]
     nl_active: tuple[int, ...]
-
-    @property
-    def lower_mask_size(self) -> int:
-        return (
-            self.idx_both_active.size
-            + self.idx_lower_active.size
-            + self.idx_upper_active.size
-            + self.idx_free.size
-        )
 
     def masks(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Boolean masks (both, lower, upper, free) over ``m`` atoms."""
@@ -361,15 +393,8 @@ def regions(prob: Problem, x, tol: float = DEFAULT_TOL) -> RegionPartition:
         raise InfeasiblePointError(
             f"point is infeasible: {worst.kind}[{worst.index}] violated by {worst.residual:.3e}"
         )
-    scale = tol * np.maximum(1.0, np.abs(xv))
-    at_lower = np.isfinite(prob.lower) & (np.abs(xv - prob.lower) <= scale)
-    at_upper = np.isfinite(prob.upper) & (np.abs(xv - prob.upper) <= scale)
-    both = at_lower & at_upper
-    lin_active = []
-    for i, (g, a) in enumerate(prob.ineq):
-        val = pairing(prob.space, g, xv)
-        if abs(val - a) <= tol * max(1.0, abs(a)):
-            lin_active.append(i)
+    both, lower_only, upper_only, free = bound_activity(prob, xv, tol)
+    lin_active = np.nonzero(row_activity(prob.G_w, prob.a, xv, tol))[0]
     nl_active = []
     for i, con in enumerate(prob.nonlinear):
         val = con.value(xv)
@@ -377,9 +402,9 @@ def regions(prob: Problem, x, tol: float = DEFAULT_TOL) -> RegionPartition:
             nl_active.append(i)
     return RegionPartition(
         idx_both_active=np.nonzero(both)[0],
-        idx_lower_active=np.nonzero(at_lower & ~both)[0],
-        idx_upper_active=np.nonzero(at_upper & ~both)[0],
-        idx_free=np.nonzero(~at_lower & ~at_upper)[0],
-        lin_active=tuple(lin_active),
+        idx_lower_active=np.nonzero(lower_only)[0],
+        idx_upper_active=np.nonzero(upper_only)[0],
+        idx_free=np.nonzero(free)[0],
+        lin_active=tuple(int(i) for i in lin_active),
         nl_active=tuple(nl_active),
     )

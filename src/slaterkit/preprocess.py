@@ -1,18 +1,19 @@
 """Rewrite a linear system so every kept inequality admits interior slack.
 
 An inequality is *implicit* when it holds with equality on the whole
-polyhedron; maximizing its slack over the polyhedron decides this with one
-LP per inequality.  Converting implicit inequalities to equalities and then
-thinning the equality list to a maximal linearly independent subset produces
-an equivalent description that always admits a point satisfying the kept
-inequalities strictly.  That witness point is computed and shipped with the
-rewritten system.
+polyhedron.  One LP finds every implicit inequality and a witness point at
+once: the homogenised slack LP of Freund, Roundy and Todd (1985), which
+gives each inequality its own slack variable capped at one and maximizes
+their sum.  Converting implicit inequalities to equalities and then
+thinning the equality list to a maximal linearly independent subset
+produces an equivalent description whose kept inequalities the witness
+satisfies strictly.  The witness is shipped with the rewritten system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     InconsistentEqualitiesError,
     NumericalFailureError,
 )
-from .model import DEFAULT_TOL, MeasureSpace, Problem, pairing
+from .model import DEFAULT_TOL, MeasureSpace, Problem, weighted_rows
 
 __all__ = [
     "EqReduction",
@@ -57,8 +58,11 @@ class MfcqSystem:
     ``provenance`` maps each original inequality index to ``"kept"``,
     ``"converted"`` or ``"dropped"`` (converted but linearly redundant).
     ``eq_sources`` tags every rewritten equality with its origin, either
-    ``("eq", j)`` or ``("ineq", i)``.  The witness satisfies every kept
-    inequality with slack at least ``witness_margin`` and every equality.
+    ``("eq", j)`` or ``("ineq", i)``.  The witness satisfies every equality
+    and every kept inequality with slack at least ``witness_margin`` (which
+    exceeds the working tolerance; infinite when no inequality is kept).
+    ``G_w``, ``a``, ``H_w`` and ``b`` are the weighted rows of ``ineq`` and
+    ``eq``, as on :class:`~slaterkit.model.Problem`.
     """
 
     space: MeasureSpace
@@ -69,70 +73,83 @@ class MfcqSystem:
     provenance: dict[int, str]
     eq_sources: tuple[tuple[str, int], ...]
     dependencies: tuple[tuple[int, dict[int, float]], ...]
+    G_w: np.ndarray = field(init=False, repr=False, compare=False)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    H_w: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        G_w, a = weighted_rows(self.space, self.ineq)
+        H_w, b = weighted_rows(self.space, self.eq)
+        object.__setattr__(self, "G_w", G_w)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "H_w", H_w)
+        object.__setattr__(self, "b", b)
 
     def is_member(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Membership of ``x`` in the rewritten polyhedron within ``tol``."""
-        for g, a in self.ineq:
-            if pairing(self.space, g, x) > a + tol:
-                return False
-        for h, b in self.eq:
-            if abs(pairing(self.space, h, x) - b) > tol:
-                return False
-        return True
+        x = np.asarray(x, dtype=float)
+        return bool(np.all(self.G_w @ x <= self.a + tol)
+                    and np.all(np.abs(self.H_w @ x - self.b) <= tol))
 
 
-def _poly_rows(space: MeasureSpace, ineq, eq):
-    """LP rows over raw coordinates for the weighted linear system."""
-    m = space.size
-    rows, rel, rhs = [], [], []
-    for g, a in ineq:
-        rows.append(np.asarray(g, dtype=float) * space.weights)
-        rel.append("<=")
-        rhs.append(a)
-    for h, b in eq:
-        rows.append(np.asarray(h, dtype=float) * space.weights)
-        rel.append("==")
-        rhs.append(b)
-    A = np.array(rows) if rows else np.zeros((0, m))
-    return A, tuple(rel), np.array(rhs)
+def _slack_lp(prob: Problem, tol: float):
+    """The homogenised slack LP over ``(x, tau, s)``.
+
+    maximize ``sum(s)`` subject to ``G_w x - a tau + s <= 0``,
+    ``H_w x - b tau = 0``, ``tau >= 1`` and ``0 <= s <= 1``.  For any
+    feasible ``(x, tau, s)`` the point ``x / tau`` lies in the polyhedron
+    with slack at least ``s_i / tau`` on inequality ``i``, and scaling a
+    point with slack on a row into ``(x, tau)`` lets ``s_i`` reach one
+    without lowering any other ``s_j``.  So every optimum has ``s_i = 1``
+    on each inequality with slack somewhere on the polyhedron and
+    ``s_i = 0`` on each implicit one, and the LP is infeasible exactly when
+    the polyhedron is empty.  ``tau`` has no upper bound: a finite cap
+    becomes a tableau row whose right-hand side sets the scale of the
+    solver's acceptance checks.
+
+    Returns the implicit set (see :func:`detect_implicit_equalities`), the
+    witness ``x / tau`` and the slack of every inequality at it.
+    """
+    m, k, e = prob.size, prob.n_ineq, prob.n_eq
+    A = np.zeros((k + e, m + 1 + k))
+    A[:k, :m] = prob.G_w
+    A[:k, m] = -prob.a
+    A[:k, m + 1:] = np.eye(k)
+    A[k:, :m] = prob.H_w
+    A[k:, m] = -prob.b
+    c = np.concatenate([np.zeros(m + 1), np.ones(k)])
+    lo = np.concatenate([np.full(m, -math.inf), [1.0], np.zeros(k)])
+    hi = np.concatenate([np.full(m + 1, math.inf), np.ones(k)])
+    out = lpmod.solve(lpmod.LinearProgram(
+        c, A, ("<=",) * k + ("==",) * e, np.zeros(k + e), lo, hi), tol=tol)
+    if out.status is lpmod.LpStatus.INFEASIBLE:
+        raise EmptyPolyhedronError("the linear constraint system has no solution")
+    if out.status is not lpmod.LpStatus.OPTIMAL:
+        raise NumericalFailureError(f"slack maximization failed: {out.message}")
+    witness = out.x[:m] / out.x[m]
+    slack = prob.a - prob.G_w @ witness
+    return {int(i) for i in np.nonzero(slack <= tol)[0]}, witness, slack
 
 
 def detect_implicit_equalities(prob: Problem, tol: float = DEFAULT_TOL) -> set[int]:
     """Indices of inequalities that hold with equality on the whole polyhedron.
 
     Implicitness is relative to the linear system alone; the box plays no
-    part.  Each inequality is tested by maximizing its slack over the
-    polyhedron.
+    part.  One LP (the homogenised slack LP) decides every inequality at
+    once.  Inequality ``i`` counts as implicit when its slack at the LP's
+    witness is at most ``tol``.  The witness lies in the polyhedron, so
+    every inequality whose largest slack is at most ``tol`` is implicit.
+    Every other inequality gets ``s_i = 1``, so its slack at the witness
+    is at least ``1 / tau``: the rule agrees with "largest slack at most
+    ``tol``" whenever the optimum has ``tau < 1 / tol``.
 
     Raises
     ------
     EmptyPolyhedronError
         If the linear system has no solution.
     """
-    m = prob.size
-    A, rel, rhs = _poly_rows(prob.space, prob.ineq, prob.eq)
-    lo = np.full(m, -math.inf)
-    hi = np.full(m, math.inf)
-    implicit = set()
-    for i, (g, a) in enumerate(prob.ineq):
-        c = -(np.asarray(g, dtype=float) * prob.space.weights)
-        out = lpmod.solve(lpmod.LinearProgram(c, A, rel, rhs, lo, hi), tol=tol)
-        if out.status is lpmod.LpStatus.INFEASIBLE:
-            raise EmptyPolyhedronError("the linear constraint system has no solution")
-        if out.status is lpmod.LpStatus.UNBOUNDED:
-            continue
-        if out.status is not lpmod.LpStatus.OPTIMAL:
-            raise NumericalFailureError(
-                f"slack maximization for inequality {i} failed: {out.message}")
-        max_slack = a + out.value
-        if max_slack <= tol:
-            implicit.add(i)
-    if not prob.ineq and prob.eq:
-        # no inequality probes ran; still detect an empty system
-        out = lpmod.feasibility(A, rel, rhs, lo, hi, tol=tol)
-        if out.status is lpmod.LpStatus.INFEASIBLE:
-            raise EmptyPolyhedronError("the linear constraint system has no solution")
-    return implicit
+    return _slack_lp(prob, tol)[0]
 
 
 def reduce_equalities(space: MeasureSpace, eq, tol: float = DEFAULT_TOL,
@@ -150,8 +167,7 @@ def reduce_equalities(space: MeasureSpace, eq, tol: float = DEFAULT_TOL,
         With a combination certificate when a dependent row's right-hand
         side contradicts the kept rows.
     """
-    rows = [np.asarray(h, dtype=float) * space.weights for h, _ in eq]
-    rhs = [b for _, b in eq]
+    rows, rhs = weighted_rows(space, eq)
     max_norm = max((float(np.linalg.norm(r)) for r in rows), default=0.0)
     threshold = rank_tol * max(max_norm, 1.0)
     kept: list[int] = []
@@ -191,15 +207,16 @@ def reduce_equalities(space: MeasureSpace, eq, tol: float = DEFAULT_TOL,
 def build_mfcq_system(prob: Problem, tol: float = DEFAULT_TOL) -> MfcqSystem:
     """Rewrite the linear system and produce a strict-slack witness.
 
-    Implicit inequalities become equalities, the combined equality list is
-    thinned to independent rows, and a witness point satisfying every kept
-    inequality strictly is computed by maximizing a common slack.
+    Implicit inequalities (see :func:`detect_implicit_equalities`) become
+    equalities and the combined equality list is thinned to independent
+    rows.  The witness is the same LP's point, which leaves every kept
+    inequality a slack above ``tol``; one LP does all of it.
 
     Raises
     ------
     EmptyPolyhedronError, InconsistentEqualitiesError, NumericalFailureError
     """
-    implicit = set(detect_implicit_equalities(prob, tol))
+    implicit, witness, slack = _slack_lp(prob, tol)
     combined = list(prob.eq) + [(g, a) for i, (g, a) in enumerate(prob.ineq)
                                 if i in implicit]
     sources: list[tuple[str, int]] = [("eq", j) for j in range(prob.n_eq)]
@@ -220,51 +237,14 @@ def build_mfcq_system(prob: Problem, tol: float = DEFAULT_TOL) -> MfcqSystem:
         else:
             provenance[i] = "dropped"
 
-    witness, margin = _strict_witness(prob.space, ineq_tilde, eq_tilde, tol)
+    kept_slack = np.delete(slack, sorted(implicit))
     return MfcqSystem(
         space=prob.space,
         ineq=ineq_tilde,
         eq=eq_tilde,
         witness=witness,
-        witness_margin=margin,
+        witness_margin=float(np.min(kept_slack, initial=math.inf)),
         provenance=provenance,
         eq_sources=src_tilde,
         dependencies=red.dependencies,
     )
-
-
-def _strict_witness(space: MeasureSpace, ineq, eq, tol: float):
-    """Maximize a slack common to all inequalities, capped at one."""
-    m = space.size
-    nv = m + 1  # coordinates plus the slack variable
-    rows, rel, rhs = [], [], []
-    for g, a in ineq:
-        row = np.zeros(nv)
-        row[:m] = np.asarray(g, dtype=float) * space.weights
-        row[m] = 1.0
-        rows.append(row)
-        rel.append("<=")
-        rhs.append(a)
-    for h, b in eq:
-        row = np.zeros(nv)
-        row[:m] = np.asarray(h, dtype=float) * space.weights
-        rows.append(row)
-        rel.append("==")
-        rhs.append(b)
-    A = np.array(rows) if rows else np.zeros((0, nv))
-    c = np.zeros(nv)
-    c[m] = 1.0
-    lo = np.full(nv, -math.inf)
-    hi = np.full(nv, math.inf)
-    lo[m], hi[m] = 0.0, 1.0
-    out = lpmod.solve(lpmod.LinearProgram(c, A, tuple(rel), np.array(rhs), lo, hi), tol=tol)
-    if out.status is lpmod.LpStatus.INFEASIBLE:
-        raise EmptyPolyhedronError("rewritten system has no solution")
-    if out.status is not lpmod.LpStatus.OPTIMAL:
-        raise NumericalFailureError(f"witness search failed: {out.message}")
-    margin = float(out.value)
-    if ineq and margin <= tol:
-        raise NumericalFailureError(
-            "no strictly slack point found after conversion; the working "
-            f"tolerance {tol:g} cannot separate the kept inequalities")
-    return out.x[:m], (margin if ineq else math.inf)

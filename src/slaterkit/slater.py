@@ -22,7 +22,16 @@ from .errors import (
     NumericalFailureError,
     PreconditionError,
 )
-from .model import DEFAULT_TOL, Problem, check_feasible, lp_norm, pairing, conjugate_exponent
+from .model import (
+    DEFAULT_TOL,
+    Problem,
+    bound_activity,
+    check_feasible,
+    conjugate_exponent,
+    lp_norm,
+    pairing,
+    weighted_rows,
+)
 
 __all__ = [
     "SlaterReport",
@@ -99,52 +108,31 @@ def interior_margin(prob: Problem, x: np.ndarray) -> float:
 
 def _margin_lp(prob: Problem, extra_rows):
     """LP over (x, t): maximize t subject to scaled interiority and the
-    linear rows, plus caller-supplied rows of the form row.x + s t <= rhs."""
+    linear rows, plus caller-supplied rows of the form row.x + s t <= rhs,
+    given as ``(row, s, rhs)`` with ``row`` unweighted."""
     m = prob.size
-    nv = m + 1
     scale = _bound_scales(prob)
-    rows, rel, rhs = [], [], []
-    for i in range(m):
-        if math.isfinite(prob.lower[i]):
-            row = np.zeros(nv)
-            row[i] = -1.0
-            row[m] = scale[i]
-            rows.append(row)
-            rel.append("<=")
-            rhs.append(-prob.lower[i])
-        if math.isfinite(prob.upper[i]):
-            row = np.zeros(nv)
-            row[i] = 1.0
-            row[m] = scale[i]
-            rows.append(row)
-            rel.append("<=")
-            rhs.append(prob.upper[i])
-    for g, a in prob.ineq:
-        row = np.zeros(nv)
-        row[:m] = np.asarray(g, dtype=float) * prob.space.weights
-        rows.append(row)
-        rel.append("<=")
-        rhs.append(a)
-    for h, b in prob.eq:
-        row = np.zeros(nv)
-        row[:m] = np.asarray(h, dtype=float) * prob.space.weights
-        rows.append(row)
-        rel.append("==")
-        rhs.append(b)
-    for coeff, s, r in extra_rows:
-        row = np.zeros(nv)
-        row[:m] = coeff
-        row[m] = s
-        rows.append(row)
-        rel.append("<=")
-        rhs.append(r)
-    A = np.array(rows) if rows else np.zeros((0, nv))
-    c = np.zeros(nv)
+    # box rows interleaved per atom: -x_i + s_i t <= -lower_i, x_i + s_i t <= upper_i
+    finite = np.stack([np.isfinite(prob.lower), np.isfinite(prob.upper)], axis=1).ravel()
+    atom = np.repeat(np.arange(m), 2)[finite]
+    box_rhs = np.stack([-prob.lower, prob.upper], axis=1).ravel()[finite]
+    C, r = weighted_rows(prob.space, [(row, rhs) for row, _, rhs in extra_rows])
+    nb, k, e = atom.size, prob.n_ineq, prob.n_eq
+    A = np.zeros((nb + k + e + r.size, m + 1))
+    A[np.arange(nb), atom] = np.tile([-1.0, 1.0], m)[finite]
+    A[:nb, m] = scale[atom]
+    A[nb:nb + k, :m] = prob.G_w
+    A[nb + k:nb + k + e, :m] = prob.H_w
+    A[nb + k + e:, :m] = C
+    A[nb + k + e:, m] = [s for _, s, _ in extra_rows]
+    rel = ("<=",) * (nb + k) + ("==",) * e + ("<=",) * r.size
+    rhs = np.concatenate([box_rhs, prob.a, prob.b, r])
+    c = np.zeros(m + 1)
     c[m] = 1.0
-    lo = np.full(nv, -math.inf)
-    hi = np.full(nv, math.inf)
+    lo = np.full(m + 1, -math.inf)
+    hi = np.full(m + 1, math.inf)
     lo[m], hi[m] = 0.0, 1.0
-    return lpmod.LinearProgram(c, A, tuple(rel), np.array(rhs), lo, hi)
+    return lpmod.LinearProgram(c, A, rel, rhs, lo, hi)
 
 
 def _run_margin_search(prob: Problem, extra_rows, tol: float,
@@ -225,8 +213,7 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
             continue  # inactive constraints impose no local restriction
         grad = np.asarray(con.grad(xbar), dtype=float)
         s = max(1.0, lp_norm(prob.space, grad, q))
-        coeff = grad * prob.space.weights
-        extra.append((coeff, s, pairing(prob.space, grad, xbar)))
+        extra.append((grad, s, pairing(prob.space, grad, xbar)))
     return _run_margin_search(prob, extra, tol, "linearized")
 
 
@@ -273,8 +260,8 @@ def density_construction(prob: Problem, xbar: np.ndarray,
         raise InfeasiblePointError(f"point leaves the box at atom {idx}")
     x = np.clip(xbar, prob.lower, prob.upper)
 
-    at_lower = np.isfinite(prob.lower) & (x - prob.lower <= tol * np.maximum(1.0, np.abs(x)))
-    at_upper = np.isfinite(prob.upper) & (prob.upper - x <= tol * np.maximum(1.0, np.abs(x)))
+    both, lower_only, upper_only, _ = bound_activity(prob, x, tol)
+    at_lower, at_upper = lower_only | both, upper_only | both
     step_up = np.where(np.isfinite(prob.upper), (prob.upper - x) / 2.0, w)
     step_dn = np.where(np.isfinite(prob.lower), (x - prob.lower) / 2.0, w)
     out = x + np.where(at_lower, step_up, 0.0) - np.where(at_upper, step_dn, 0.0)
@@ -317,21 +304,24 @@ def combine_slater(prob: Problem, ring: np.ndarray, tilde: np.ndarray,
 
     if (ring < prob.lower - tol).any() or (ring > prob.upper + tol).any():
         raise PreconditionError("slack point leaves the box")
-    for j, (h, b) in enumerate(prob.eq):
-        if abs(pairing(prob.space, h, ring) - b) > tol:
-            raise PreconditionError(f"slack point misses equality {j}")
-        if abs(pairing(prob.space, h, tilde) - b) > tol:
-            raise PreconditionError(f"interior point misses equality {j}")
-    for i, (g, a) in enumerate(prob.ineq):
-        v_ring = pairing(prob.space, g, ring)
-        if i in strict:
-            if v_ring > a - tol:
-                raise PreconditionError(
-                    f"slack point is not strictly inside inequality {i}")
-        elif v_ring > a + tol:
-            raise PreconditionError(f"slack point violates inequality {i}")
-        if i not in strict and pairing(prob.space, g, tilde) > a + tol:
-            raise PreconditionError(f"interior point violates inequality {i}")
+    G, a, H, b = prob.G_w, prob.a, prob.H_w, prob.b
+    ring_eq = np.abs(H @ ring - b) > tol
+    tilde_eq = np.abs(H @ tilde - b) > tol
+    if (ring_eq | tilde_eq).any():
+        j = int(np.argmax(ring_eq | tilde_eq))
+        who = "slack" if ring_eq[j] else "interior"
+        raise PreconditionError(f"{who} point misses equality {j}")
+    is_strict = np.isin(np.arange(prob.n_ineq), list(strict))
+    v_ring = G @ ring
+    ring_loose = is_strict & (v_ring > a - tol)
+    ring_out = ~is_strict & (v_ring > a + tol)
+    tilde_out = ~is_strict & (G @ tilde > a + tol)
+    if (ring_loose | ring_out | tilde_out).any():
+        i = int(np.argmax(ring_loose | ring_out | tilde_out))
+        if ring_loose[i]:
+            raise PreconditionError(f"slack point is not strictly inside inequality {i}")
+        who = "slack" if ring_out[i] else "interior"
+        raise PreconditionError(f"{who} point violates inequality {i}")
     fin_lo = np.isfinite(prob.lower)
     fin_hi = np.isfinite(prob.upper)
     lo_gap = (tilde[fin_lo] - prob.lower[fin_lo]) / scale[fin_lo]
@@ -342,18 +332,8 @@ def combine_slater(prob: Problem, ring: np.ndarray, tilde: np.ndarray,
     eps = 0.5
     while eps >= _MIN_BLEND:
         x = (1.0 - eps) * ring + eps * tilde
-        ok = interior_margin(prob, x) > tol
-        if ok:
-            for g, a in prob.ineq:
-                if pairing(prob.space, g, x) > a + tol:
-                    ok = False
-                    break
-        if ok:
-            for h, b in prob.eq:
-                if abs(pairing(prob.space, h, x) - b) > tol:
-                    ok = False
-                    break
-        if ok:
+        if (interior_margin(prob, x) > tol and np.all(G @ x <= a + tol)
+                and np.all(np.abs(H @ x - b) <= tol)):
             return x, eps
         eps /= 2.0
     raise ConstructionFailedError(

@@ -7,11 +7,30 @@ arise against the exact rational oracles.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slaterkit import MeasureSpace, Problem
+import slaterkit.lp
+
+#: Problem files used by several test modules.
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """List that receives every LinearProgram passed to ``slaterkit.lp.solve``."""
+    calls = []
+    solve = slaterkit.lp.solve
+
+    def counting(prog, *args, **kwargs):
+        calls.append(prog)
+        return solve(prog, *args, **kwargs)
+
+    monkeypatch.setattr(slaterkit.lp, "solve", counting)
+    return calls
 
 
 @pytest.fixture

@@ -87,6 +87,18 @@ class TestBuildCertificate:
         assert found > 5 and certified > 5
 
 
+    def test_two_lps_given_a_slater_report(self, lp_calls):
+        # one for the rewrite, one for the certificate
+        pinned_by_equality = Problem(MeasureSpace(np.ones(3)), 2.0, np.zeros(3),
+                                     np.ones(3), (), ((np.ones(3), 0.0),))
+        for prob, xbar in (log_counterexample_model(8)[:2],
+                           (pinned_by_equality, np.zeros(3))):
+            report = find_slater(prob)
+            del lp_calls[:]
+            build_no_slater_certificate(prob, xbar, slater_report=report)
+            assert len(lp_calls) == 2
+
+
 class TestBadFunctional:
     """Slopes built on a certificate's support."""
 

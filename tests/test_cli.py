@@ -110,6 +110,23 @@ class TestExitCodes:
         rep, _ = _report(capsys)
         assert rep["payload"]["status"] == "not_applicable"
 
+    def test_nan_point_is_input_error(self, open_box, tmp_path, capsys):
+        prob, _ = open_box
+        for text in ("[NaN, 0.5]", "[Infinity, 0.5]"):
+            bad = tmp_path / "nan.json"
+            bad.write_text(text)
+            assert main(["check-feasible", "--problem", prob,
+                         "--point", str(bad)]) == 1
+            assert capsys.readouterr().out == ""
+
+    def test_nan_grad_is_input_error(self, open_box, tmp_path, capsys):
+        prob, x = open_box
+        grad = tmp_path / "g.json"
+        grad.write_text("[NaN, 1.0]")
+        assert main(["kkt", "--problem", prob, "--point", x,
+                     "--grad", str(grad)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_kkt_requires_some_slope(self, open_box):
         prob, x = open_box
         assert main(["kkt", "--problem", prob, "--point", x]) == 1

@@ -1,0 +1,98 @@
+"""Byte-for-byte guard on the CLI reports of a recorded set of problem files.
+
+Each case runs one command in-process with ``--out`` and compares the
+report (and, for ``preprocess``, the ``--out-problem`` file) with the copy
+recorded under ``tests/golden/reports``.  A change that alters a report on
+purpose re-records it with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in its description which reports changed and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from slaterkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+REPORTS = GOLDEN / "reports"
+
+#: case name -> (argv with file names relative to ``tests/golden``, exit code)
+CASES = {
+    "check-feasible-interior": (
+        ["check-feasible", "--problem", "interior.json", "--point", "interior_x.json"], 0),
+    "check-feasible-interior-out": (
+        ["check-feasible", "--problem", "interior.json", "--point", "interior_x_out.json"], 3),
+    "check-feasible-quad": (
+        ["check-feasible", "--problem", "quad.json", "--point", "quad_x.json"], 0),
+    "find-slater-interior": (["find-slater", "--problem", "interior.json"], 0),
+    "find-slater-pinned": (["find-slater", "--problem", "pinned.json"], 3),
+    "find-slater-pair": (["find-slater", "--problem", "pair.json"], 0),
+    "find-slater-log4": (["find-slater", "--problem", "log4.json"], 3),
+    "find-linearized-slater-quad": (
+        ["find-linearized-slater", "--problem", "quad.json", "--point", "quad_x.json"], 0),
+    "preprocess-interior": (["preprocess", "--problem", "interior.json"], 0),
+    "preprocess-pinned": (["preprocess", "--problem", "pinned.json"], 0),
+    "preprocess-pair": (["preprocess", "--problem", "pair.json",
+                         "--out-problem", "{out_problem}"], 0),
+    "kkt-interior": (["kkt", "--problem", "interior.json", "--point", "interior_x.json",
+                      "--grad", "interior_grad.json"], 0),
+    "kkt-interior-refute": (["kkt", "--problem", "interior.json", "--point",
+                             "interior_x.json", "--grad", "interior_grad_refute.json"], 3),
+    "kkt-pinned": (["kkt", "--problem", "pinned.json", "--point", "pinned_x.json",
+                    "--grad", "pinned_grad.json"], 0),
+    "kkt-log4": (["kkt", "--problem", "log4.json", "--point", "log4_x.json"], 0),
+    "kkt-quad": (["kkt", "--problem", "quad.json", "--point", "quad_x.json",
+                  "--grad", "quad_grad.json"], 0),
+    "certify-pinned": (["certify", "--problem", "pinned.json", "--point", "pinned_x.json"], 0),
+    "certify-pinned-default-point": (["certify", "--problem", "pinned.json"], 0),
+    "certify-log4": (["certify", "--problem", "log4.json", "--point", "log4_x.json"], 0),
+    "certify-interior": (["certify", "--problem", "interior.json"], 3),
+    "refine-log": (["refine", "--model", "log-counterexample", "--levels", "4,16,64"], 0),
+    "refine-control": (["refine", "--model", "constant-control", "--levels", "4,16"], 0),
+}
+
+
+def _run(name, out_dir: Path):
+    """Run one case; returns the exit code and the files it wrote."""
+    argv, _ = CASES[name]
+    out = out_dir / f"{name}.json"
+    written = [out]
+    args = []
+    for a in argv:
+        if a == "{out_problem}":
+            a = out_dir / f"{name}.problem.json"
+            written.append(a)
+        elif a.endswith(".json"):
+            a = GOLDEN / a
+        args.append(str(a))
+    code = main(args + ["--out", str(out)])
+    return code, written
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv("SLATERKIT_TOL", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, tmp_path):
+    code, written = _run(name, tmp_path)
+    assert code == CASES[name][1]
+    for path in written:
+        assert path.read_bytes() == (REPORTS / path.name).read_bytes(), path.name
+
+
+def record():
+    """Write every case's reports into ``tests/golden/reports``."""
+    REPORTS.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        code, _ = _run(name, REPORTS)
+        if code != CASES[name][1]:
+            raise SystemExit(f"{name}: exit code {code}, expected {CASES[name][1]}")
+
+
+if __name__ == "__main__":
+    record()

@@ -13,13 +13,18 @@ from slaterkit import (
     Problem,
     QuadraticConstraint,
     VoidProblemError,
+    build_no_slater_certificate,
     check_feasible,
     conjugate_exponent,
+    find_slater,
     log_counterexample_model,
     lp_norm,
+    normal_K_contains,
     pairing,
     regions,
+    tangent_K_contains,
 )
+from conftest import anchored_problem
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -174,6 +179,47 @@ class TestCheckFeasible:
         assert not check_feasible(prob, x, 1e-9).feasible
         assert check_feasible(prob, x, 1e-6).feasible
 
+    def test_nan_coordinate_is_a_violation(self):
+        prob, _, _ = log_counterexample_model(2)
+        rep = check_feasible(prob, np.array([math.nan, 0.0]))
+        assert not rep.feasible
+        assert {(v.kind, v.index) for v in rep.violations} == {
+            ("lower", 0), ("upper", 0), ("ineq", 0)}
+        free = Problem(MeasureSpace(np.ones(2)), 2.0, np.full(2, -math.inf),
+                       np.full(2, math.inf), (), ((np.ones(2), 0.0),))
+        rep = check_feasible(free, np.array([math.nan, 0.0]))
+        assert [(v.kind, v.index) for v in rep.violations] == [
+            ("lower", 0), ("upper", 0), ("eq", 0)]
+
+    def test_matches_pairing_loop(self):
+        # reference: the per-row pairing loop the matrix products replace
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            prob, x = anchored_problem(rng, int(rng.integers(1, 7)),
+                                       int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+            for pt in (x, x + rng.normal(scale=0.5, size=prob.size)):
+                expect = []
+                for i, (g, a) in enumerate(prob.ineq):
+                    if pairing(prob.space, g, pt) > a + 1e-9:
+                        expect.append(("ineq", i, pairing(prob.space, g, pt) - a))
+                for j, (h, b) in enumerate(prob.eq):
+                    if abs(pairing(prob.space, h, pt) - b) > 1e-9:
+                        expect.append(("eq", j, abs(pairing(prob.space, h, pt) - b)))
+                got = [(v.kind, v.index, v.residual) for v in
+                       check_feasible(prob, pt).violations if v.kind in ("ineq", "eq")]
+                assert [e[:2] for e in expect] == [g[:2] for g in got]
+                for e, g in zip(expect, got):
+                    assert g[2] == pytest.approx(e[2], rel=1e-12, abs=1e-12)
+
+    def test_weighted_rows_are_read_only_products(self):
+        prob, _ = anchored_problem(np.random.default_rng(3), 4, 2, 1)
+        for (g, a), row, rhs in zip(prob.ineq, prob.G_w, prob.a):
+            assert np.array_equal(row, g * prob.space.weights) and rhs == a
+        for (h, b), row, rhs in zip(prob.eq, prob.H_w, prob.b):
+            assert np.array_equal(row, h * prob.space.weights) and rhs == b
+        with pytest.raises(ValueError):
+            prob.G_w[0, 0] = 1.0
+
 
 class TestRegions:
     """Partition of atoms by active bounds, plus active constraint sets."""
@@ -216,3 +262,54 @@ class TestRegions:
                              + part.idx_free.tolist()
                              + part.idx_upper_active.tolist())
             assert all_idx == list(range(prob.size))
+
+
+class TestActivityRule:
+    """regions, the box cone tests and the certificate sign pattern agree."""
+
+    TOL = 1e-9
+
+    def _pinned(self):
+        # x0 - x2 <= -4 on the box [0,1] x [0,1] x [0,4] pins x0 at its lower
+        # and x2 at its upper bound; atom 1 stays free
+        return Problem(MeasureSpace(np.ones(3)), 2.0, np.zeros(3),
+                       np.array([1.0, 1.0, 4.0]),
+                       ((np.array([1.0, 0.0, -1.0]), -4.0),), ())
+
+    def _certificate_sides(self, prob, x):
+        cert = build_no_slater_certificate(prob, x, self.TOL,
+                                           slater_report=find_slater(prob, self.TOL))
+        return list(cert.support_positive), list(cert.support_negative)
+
+    def test_points_just_outside_the_box(self):
+        prob, tol = self._pinned(), self.TOL
+        x = np.array([-0.5 * tol, 0.5, 4.0 + 0.5 * tol])
+        part = regions(prob, x, tol)
+        assert part.idx_lower_active.tolist() == [0]
+        assert part.idx_upper_active.tolist() == [2]
+        assert part.idx_free.tolist() == [1]
+        assert part.lin_active == (0,)
+        assert tangent_K_contains(prob, x, np.array([1.0, -1.0, -1.0]), tol)
+        assert not tangent_K_contains(prob, x, np.array([-1.0, 0.0, 0.0]), tol)
+        assert not tangent_K_contains(prob, x, np.array([0.0, 0.0, 1.0]), tol)
+        assert normal_K_contains(prob, x, np.array([-1.0, 0.0, 1.0]), tol)
+        for zeta in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]):
+            assert not normal_K_contains(prob, x, np.array(zeta), tol)
+        assert self._certificate_sides(prob, x) == ([0], [2])
+
+    def test_certificate_base_point_far_below_a_bound(self):
+        # The certificate accepts base points within 100 tol of the box.  At
+        # 50 tol below the lower bound the atom still counts as lower-active,
+        # as it does for regions at that looser tolerance.  Here
+        # x0 + x1 <= 0.5 with x1 = 0.5 pins x0 at 0; the base point moves
+        # along the row, so the row stays active.
+        tol = self.TOL
+        prob = Problem(MeasureSpace(np.ones(2)), 2.0, np.zeros(2), np.ones(2),
+                       ((np.ones(2), 0.5),), ((np.array([0.0, 1.0]), 0.5),))
+        x = np.array([-50 * tol, 0.5 + 50 * tol])
+        with pytest.raises(InfeasiblePointError):
+            regions(prob, x, tol)
+        part = regions(prob, x, 100 * tol)
+        assert part.idx_lower_active.tolist() == [0]
+        assert part.idx_free.tolist() == [1]
+        assert self._certificate_sides(prob, x) == ([0], [])

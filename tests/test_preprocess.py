@@ -16,6 +16,8 @@ from slaterkit import (
     pairing,
     reduce_equalities,
 )
+from slaterkit.fileio import load_problem
+from conftest import DATA
 
 
 def _prob(weights, ineq=(), eq=(), lower=None, upper=None):
@@ -27,7 +29,7 @@ def _prob(weights, ineq=(), eq=(), lower=None, upper=None):
 
 
 class TestDetectImplicitEqualities:
-    """Per-row maximal slack over the polyhedron alone."""
+    """Rows that no point of the polyhedron (box ignored) leaves slack."""
 
     def test_opposed_pair_is_implicit(self):
         prob = _prob([1.0], [(np.array([1.0]), 0.5),
@@ -45,10 +47,13 @@ class TestDetectImplicitEqualities:
         assert detect_implicit_equalities(prob) == set()
 
     def test_empty_polyhedron_rejected(self):
-        prob = _prob([1.0], [(np.array([1.0]), 0.0),
-                             (np.array([-1.0]), -1.0)])
-        with pytest.raises(EmptyPolyhedronError):
-            detect_implicit_equalities(prob)
+        for gap in (1.0, 0.5, 1e-6):
+            prob = _prob([1.0], [(np.array([1.0]), 0.0),
+                                 (np.array([-1.0]), -gap)])
+            with pytest.raises(EmptyPolyhedronError):
+                detect_implicit_equalities(prob)
+            with pytest.raises(EmptyPolyhedronError):
+                build_mfcq_system(prob)
 
 
 class TestReduceEqualities:
@@ -155,3 +160,24 @@ class TestBuildSystem:
         for j, _ in red.dependencies:
             stacked = np.vstack([kept_rows, eqs[j][0]])
             assert np.linalg.matrix_rank(stacked) == base
+
+
+class TestOneLp:
+    """The rewrite is one LP, also on systems with opposite-row pairs."""
+
+    def test_implicit_pair_instance_converts(self):
+        # 25 atoms, 12 inequalities with two opposite-row pairs: the planted
+        # implicit rows are 7-10
+        prob, _ = load_problem(str(DATA / "implicit-pair.json"))
+        sysm = build_mfcq_system(prob)
+        assert {i for i, v in sysm.provenance.items() if v != "kept"} == {7, 8, 9, 10}
+        assert detect_implicit_equalities(prob) == {7, 8, 9, 10}
+        assert sysm.witness_margin > 1e-9
+        slack = prob.a - prob.G_w @ sysm.witness
+        assert np.all(slack >= -1e-9)
+        np.testing.assert_allclose(prob.H_w @ sysm.witness, prob.b, atol=1e-9)
+
+    def test_build_solves_one_lp(self, lp_calls):
+        prob, _ = load_problem(str(DATA / "implicit-pair.json"))
+        build_mfcq_system(prob)
+        assert len(lp_calls) == 1
