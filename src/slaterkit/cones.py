@@ -38,7 +38,8 @@ def _vec(prob: Problem, v, name: str) -> np.ndarray:
 
 
 def _require_in_box(prob: Problem, x: np.ndarray, tol: float):
-    if np.any(x < prob.lower - tol) or np.any(x > prob.upper + tol):
+    # written so that a NaN coordinate counts as outside
+    if np.any(~(x >= prob.lower - tol) | ~(x <= prob.upper + tol)):
         raise InfeasiblePointError("point lies outside the box")
 
 

@@ -59,7 +59,7 @@ class CertificateNotFoundError(SlaterkitError):
 
 
 class InvalidGradientError(SlaterkitError):
-    """A user-supplied gradient disagrees with finite differences."""
+    """A user-supplied gradient is not finite or disagrees with finite differences."""
 
 
 class NumericalFailureError(SlaterkitError):

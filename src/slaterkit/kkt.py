@@ -155,6 +155,8 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
     ------
     InfeasiblePointError
         If ``xbar`` is not feasible.
+    InvalidGradientError
+        If ``grad_f`` has a NaN or infinite entry.
     PreconditionError
         If the problem carries smooth constraints (use the nonlinear entry
         point for those).
@@ -164,6 +166,8 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
             "problem has smooth constraints; use recover_multipliers_nonlinear")
     xbar = np.asarray(xbar, dtype=float)
     grad_f = np.asarray(grad_f, dtype=float)
+    if not np.all(np.isfinite(grad_f)):
+        raise InvalidGradientError("objective slope must be finite")
     rep = check_feasible(prob, xbar, tol)
     if not rep.feasible:
         worst = rep.violations[0]

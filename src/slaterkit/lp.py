@@ -11,7 +11,10 @@ tableau simplex:
   rows in one pivot, so phase one starts from the slack basis;
 * pivots use the largest-coefficient rule with a deterministic first-index
   tie-break, switching permanently to Bland's smallest-index rule after a
-  stretch of stalled pivots, which guarantees termination.
+  stretch of stalled pivots, which guarantees termination;
+* a pivot entry must exceed both an absolute threshold and a small fraction
+  of the largest entry in its column (or row, when driving artificials out
+  of the basis).
 
 Outcomes carry dual vectors and certificates: row duals and reduced costs at
 optimality, a Farkas ray (row plus bound multipliers) on infeasibility, and a
@@ -48,6 +51,10 @@ DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
 
 _STALL_LIMIT = 60  # stalled pivots before switching to Bland's rule
+#: A pivot entry must also exceed this fraction of the largest entry in its
+#: column (ratio test) or row (driving out artificials): a smaller one is a
+#: cancellation residue, and pivoting on it leaves a near-singular basis.
+_REL_PIVOT = 1e-9
 
 
 class LpStatus(enum.Enum):
@@ -164,45 +171,42 @@ class LpOutcome:
 
 
 class _Transform:
-    """Bookkeeping for the shift/flip/split to nonnegative variables."""
+    """Bookkeeping for the shift/flip/split to nonnegative variables.
+
+    Working column ``k`` is ``sign[k]`` times original variable ``var[k]``
+    minus its offset, so ``x = offsets + sum_k sign[k] x'_k e_var[k]``.  A
+    variable with a finite lower bound is shifted, one with only a finite
+    upper bound is flipped, and a free one is split into two columns.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.n_vars
-        self.offsets = np.zeros(n)
-        cols: list[tuple[int, float]] = []  # (original var, sign)
-        col_upper: list[float] = []  # upper bound of the shifted variable
-        self.var_cols: list[tuple[int, ...]] = []
-        for j in range(n):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo > -math.inf:
-                self.offsets[j] = lo
-                cols.append((j, 1.0))
-                col_upper.append(hi - lo if hi < math.inf else math.inf)
-                self.var_cols.append((len(cols) - 1,))
-            elif hi < math.inf:
-                self.offsets[j] = hi
-                cols.append((j, -1.0))
-                col_upper.append(math.inf)
-                self.var_cols.append((len(cols) - 1,))
-            else:
-                cols.append((j, 1.0))
-                cols.append((j, -1.0))
-                col_upper.append(math.inf)
-                col_upper.append(math.inf)
-                self.var_cols.append((len(cols) - 2, len(cols) - 1))
-        self.cols = cols
-        self.col_upper = col_upper
-        # sign matrix S with x = offsets + S @ x'
-        self.S = np.zeros((n, len(cols)))
-        for k, (j, s) in enumerate(cols):
-            self.S[j, k] = s
+        lo, hi = lp.lower, lp.upper
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        self.free = ~has_lo & ~has_hi
+        self.offsets = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        reps = np.where(self.free, 2, 1)
+        first = np.cumsum(reps) - reps  # first working column of each variable
+        self.var = np.repeat(np.arange(lp.n_vars), reps)
+        self.sign = np.ones(self.var.size)
+        self.sign[first[~has_lo & has_hi]] = -1.0
+        self.sign[first[self.free] + 1] = -1.0
+        # upper bound of the shifted variable
+        self.col_upper = np.full(self.var.size, math.inf)
+        self.col_upper[first[has_lo]] = hi[has_lo] - lo[has_lo]
 
-    def to_original(self, xs: np.ndarray) -> np.ndarray:
-        return self.offsets + self.S @ xs
+    def shift_columns(self, A: np.ndarray) -> np.ndarray:
+        """Columns of ``A`` in working variables; adding 0.0 turns -0.0 into
+        0.0, as a product with the sign matrix would."""
+        return A[:, self.var] * self.sign + 0.0
 
     def ray_to_original(self, xs: np.ndarray) -> np.ndarray:
-        return self.S @ xs
+        out = np.zeros(self.lp.n_vars)
+        np.add.at(out, self.var, self.sign * xs)
+        return out
+
+    def to_original(self, xs: np.ndarray) -> np.ndarray:
+        return self.offsets + self.ray_to_original(xs)
 
 
 class _Tableau:
@@ -211,14 +215,14 @@ class _Tableau:
         self.pivot_tol = pivot_tol
         tr = _Transform(lp)
         self.tr = tr
-        ncols = len(tr.cols)
+        ncols = tr.var.size
 
         rows: list[np.ndarray] = []
         rhs: list[float] = []
         tags: list[str] = []
         orient: list[float] = []
         origin: list[tuple] = []  # ("row", i) | ("bound", col, which)
-        A_shift = lp.A @ tr.S
+        A_shift = tr.shift_columns(lp.A)
         b_shift = lp.b - lp.A @ tr.offsets
         for i in range(lp.n_rows):
             t = lp.rel[i]
@@ -249,8 +253,7 @@ class _Tableau:
                 rhs.append(ub)
                 tags.append(LE)
                 orient.append(1.0)
-                j, s = tr.cols[k]
-                origin.append(("bound", j, "upper" if s > 0 else "lower"))
+                origin.append(("bound", tr.var[k], "upper" if tr.sign[k] > 0 else "lower"))
 
         k_rows = len(rows)
         self.tags = tags
@@ -300,8 +303,7 @@ class _Tableau:
         for c in self.artificials:
             self.c1[c] = -1.0
         self.c2 = np.zeros(n_total)
-        for k, (j, s) in enumerate(tr.cols):
-            self.c2[k] = s * lp.c[j]
+        self.c2[:ncols] = tr.sign * lp.c[tr.var]
 
         cb1 = self.c1[self.basis] if k_rows else np.zeros(0)
         cb2 = self.c2[self.basis] if k_rows else np.zeros(0)
@@ -336,9 +338,13 @@ class _Tableau:
         self.basis[r] = j
         self.iterations += 1
 
+    def pivot_floor(self, v: np.ndarray) -> float:
+        """Smallest magnitude accepted as a pivot among the entries ``v``."""
+        return max(self.pivot_tol, _REL_PIVOT * float(np.max(np.abs(v), initial=0.0)))
+
     def ratio_row(self, j: int) -> int | None:
         col = self.T[:, j]
-        ok = col > self.pivot_tol
+        ok = col > self.pivot_floor(col)
         if not ok.any():
             return None
         ratios = np.full(col.shape, math.inf)
@@ -463,7 +469,7 @@ def _drive_out_artificials(tb: _Tableau):
     for r in range(len(tb.tags)):
         if tb.basis[r] in tb.artificials:
             row = tb.T[r, : tb.n_struct + len(tb.slack_col)]
-            cand = np.nonzero(np.abs(row) > tb.pivot_tol)[0]
+            cand = np.nonzero(np.abs(row) > tb.pivot_floor(row))[0]
             if cand.size:
                 tb.pivot(r, int(cand[0]))
             # else: redundant row, the artificial stays basic at level zero
@@ -557,10 +563,10 @@ def _extract_infeasible(lp: LinearProgram, tb: _Tableau, tol: float, scale: floa
         val = -tb.z1[k]
         if val <= 0.0:
             continue
-        j, s = tb.tr.cols[k]
-        if len(tb.tr.var_cols[j]) == 2:
+        j = tb.tr.var[k]
+        if tb.tr.free[j]:
             continue  # split columns of a free variable carry no bound
-        if s > 0:
+        if tb.tr.sign[k] > 0:
             wL[j] += val
         else:
             wU[j] += val

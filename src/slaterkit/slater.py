@@ -2,10 +2,13 @@
 
 The central routine maximizes a uniform margin variable: a point counts as
 interior when it keeps a positive scaled distance to every finite bound
-while satisfying the linear constraints.  Companion routines build interior
-points directly (nudging a feasible point off its active bounds) and blend
-an interior box point with a strictly slack polyhedron point into a single
-point that is interior for both.
+while satisfying the linear constraints.  That LP is posed in variables
+shifted by the margin, so a finite box side is a bound on a variable and
+only an atom with two finite sides keeps a row; the answer is mapped back
+and re-checked on the unshifted constraints.  Companion routines build
+interior points directly (nudging a feasible point off its active bounds)
+and blend an interior box point with a strictly slack polyhedron point into
+a single point that is interior for both.
 """
 
 from __future__ import annotations
@@ -106,33 +109,137 @@ def interior_margin(prob: Problem, x: np.ndarray) -> float:
     return float(min(gaps)) if gaps else math.inf
 
 
-def _margin_lp(prob: Problem, extra_rows):
-    """LP over (x, t): maximize t subject to scaled interiority and the
-    linear rows, plus caller-supplied rows of the form row.x + s t <= rhs,
-    given as ``(row, s, rhs)`` with ``row`` unweighted."""
+@dataclass(frozen=True)
+class _MarginLp:
+    """The margin LP over ``(u, t)`` and what maps its answers back to ``x``.
+
+    ``x = u + shift * t``; ``scale`` is :func:`_bound_scales`; ``two``
+    lists the two-sided atoms, whose rows come first; ``C``, ``sv`` and
+    ``r`` are the caller-supplied rows ``C x + sv t <= r`` with ``C``
+    weighted.
+    """
+
+    lp: lpmod.LinearProgram
+    shift: np.ndarray
+    scale: np.ndarray
+    two: np.ndarray
+    C: np.ndarray
+    sv: np.ndarray
+    r: np.ndarray
+
+
+def _margin_lp(prob: Problem, extra_rows) -> _MarginLp:
+    """Maximize t subject to scaled interiority and the linear rows.
+
+    In ``(x, t)`` the LP reads ``lo_i + s_i t <= x_i <= hi_i - s_i t`` on the
+    finite sides, the linear rows, caller-supplied rows ``row.x + s t <= rhs``
+    given as ``(row, s, rhs)`` with ``row`` unweighted, and ``0 <= t <= 1``.
+    It is posed in ``u = x - d t``, with ``d_i = s_i`` where ``lo_i`` is
+    finite, ``-s_i`` where only ``hi_i`` is, and 0 on free atoms.  Each finite
+    side then becomes a bound on ``u_i`` (``u_i >= lo_i`` or ``u_i <= hi_i``)
+    and only a two-sided atom keeps a row, ``u_i + 2 s_i t <= hi_i``.  A row
+    ``g.x`` turns into ``g.u + (g.d) t``.  So the LP has one row per
+    two-sided atom, inequality, equality and extra row, and m + 1 columns.
+    """
     m = prob.size
     scale = _bound_scales(prob)
-    # box rows interleaved per atom: -x_i + s_i t <= -lower_i, x_i + s_i t <= upper_i
-    finite = np.stack([np.isfinite(prob.lower), np.isfinite(prob.upper)], axis=1).ravel()
-    atom = np.repeat(np.arange(m), 2)[finite]
-    box_rhs = np.stack([-prob.lower, prob.upper], axis=1).ravel()[finite]
+    fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
+    d = np.where(fin_lo, scale, np.where(fin_hi, -scale, 0.0))
+    two = np.nonzero(fin_lo & fin_hi)[0]
     C, r = weighted_rows(prob.space, [(row, rhs) for row, _, rhs in extra_rows])
-    nb, k, e = atom.size, prob.n_ineq, prob.n_eq
-    A = np.zeros((nb + k + e + r.size, m + 1))
-    A[np.arange(nb), atom] = np.tile([-1.0, 1.0], m)[finite]
-    A[:nb, m] = scale[atom]
-    A[nb:nb + k, :m] = prob.G_w
-    A[nb + k:nb + k + e, :m] = prob.H_w
-    A[nb + k + e:, :m] = C
-    A[nb + k + e:, m] = [s for _, s, _ in extra_rows]
-    rel = ("<=",) * (nb + k) + ("==",) * e + ("<=",) * r.size
-    rhs = np.concatenate([box_rhs, prob.a, prob.b, r])
+    sv = np.array([s for _, s, _ in extra_rows], dtype=float)
+    n2, k, e = two.size, prob.n_ineq, prob.n_eq
+    A = np.zeros((n2 + k + e + r.size, m + 1))
+    A[np.arange(n2), two] = 1.0
+    A[:n2, m] = 2.0 * scale[two]
+    for start, rows, t_coef in ((n2, prob.G_w, 0.0), (n2 + k, prob.H_w, 0.0),
+                                (n2 + k + e, C, sv)):
+        A[start:start + rows.shape[0], :m] = rows
+        A[start:start + rows.shape[0], m] = rows @ d + t_coef
+    rel = ("<=",) * (n2 + k) + ("==",) * e + ("<=",) * r.size
+    rhs = np.concatenate([prob.upper[two], prob.a, prob.b, r])
     c = np.zeros(m + 1)
     c[m] = 1.0
-    lo = np.full(m + 1, -math.inf)
-    hi = np.full(m + 1, math.inf)
-    lo[m], hi[m] = 0.0, 1.0
-    return lpmod.LinearProgram(c, A, rel, rhs, lo, hi)
+    lo = np.append(np.where(fin_lo, prob.lower, -math.inf), 0.0)
+    hi = np.append(np.where(fin_lo, math.inf, prob.upper), 1.0)
+    return _MarginLp(lpmod.LinearProgram(c, A, rel, rhs, lo, hi), d, scale, two, C, sv, r)
+
+
+def _margin_threshold(prob: Problem, ml: _MarginLp, tol: float) -> float:
+    """The LP kernel's acceptance threshold ``50 tol scale`` for the LP in
+    ``(x, t)``, whose scale is its largest coefficient or right-hand side."""
+    parts = (prob.G_w, prob.H_w, ml.C, ml.sv, prob.a, prob.b, ml.r,
+             prob.lower[np.isfinite(prob.lower)], prob.upper[np.isfinite(prob.upper)])
+    return 50.0 * tol * max([1.0] + [float(np.max(np.abs(v))) for v in parts if v.size])
+
+
+def _margin_violation(prob: Problem, ml: _MarginLp, x: np.ndarray, t: float) -> float:
+    """Worst violation of the ``(x, t)`` LP's constraints (NaN if any is)."""
+    return float(np.max(np.concatenate([
+        [-t, t - 1.0],
+        (prob.lower + ml.scale * t - x)[np.isfinite(prob.lower)],
+        (x + ml.scale * t - prob.upper)[np.isfinite(prob.upper)],
+        prob.G_w @ x - prob.a,
+        np.abs(prob.H_w @ x - prob.b),
+        ml.C @ x + ml.sv * t - ml.r,
+    ])))
+
+
+def _box_sides(prob: Problem, lower_side: np.ndarray, upper_side: np.ndarray) -> np.ndarray:
+    """Per-atom values on the finite sides, interleaved lower then upper per
+    atom: the order of the box rows of the LP in ``(x, t)``."""
+    finite = np.stack([np.isfinite(prob.lower), np.isfinite(prob.upper)], axis=1).ravel()
+    return np.stack([lower_side, upper_side], axis=1).ravel()[finite]
+
+
+def _pinning_duals(prob: Problem, ml: _MarginLp, out: lpmod.LpOutcome) -> list:
+    """Row duals of the ``(x, t)`` LP: the bound multiplier of ``u_i`` on a
+    lower side, the row dual (two-sided atom) or the bound multiplier
+    (upper-only atom) on an upper side, then the linear and extra rows."""
+    m, n2 = prob.size, ml.two.size
+    upper = np.maximum(out.reduced_costs[:m], 0.0)
+    upper[ml.two] = out.y[:n2]
+    lower = np.maximum(-out.reduced_costs[:m], 0.0)
+    return np.concatenate([_box_sides(prob, lower, upper), out.y[n2:]]).tolist()
+
+
+def _infeasibility_certificate(prob: Problem, ml: _MarginLp,
+                               cert: lpmod.FarkasCertificate, vt: float, tol: float) -> dict:
+    """Farkas multipliers of the ``(x, t)`` LP, re-checked on that LP.
+
+    The lower side of atom i takes the multiplier of ``u_i``'s lower bound,
+    the upper side the two-sided row's or ``u_i``'s upper bound multiplier;
+    the linear, extra and ``t`` bound multipliers carry over.
+
+    Raises
+    ------
+    NumericalFailureError
+        If the mapped multipliers fail the Farkas conditions at ``vt``.
+    """
+    m, n2, k, e = prob.size, ml.two.size, prob.n_ineq, prob.n_eq
+    fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
+    y_lo = np.where(fin_lo, cert.lower_mult[:m], 0.0)
+    y_hi = np.where(fin_hi, cert.upper_mult[:m], 0.0)
+    y_hi[ml.two] = cert.row_mult[:n2]
+    y_g, y_h, y_c = np.split(cert.row_mult[n2:], [k, k + e])
+    w_lo, w_hi = cert.lower_mult[m], cert.upper_mult[m]
+    # A'y - wL + wU, column x then column t, and the combined right-hand side
+    res_x = y_hi - y_lo + prob.G_w.T @ y_g + prob.H_w.T @ y_h + ml.C.T @ y_c
+    res_t = ml.scale @ (y_lo + y_hi) + ml.sv @ y_c - w_lo + w_hi
+    rhs = (y_hi[fin_hi] @ prob.upper[fin_hi] - y_lo[fin_lo] @ prob.lower[fin_lo]
+           + y_g @ prob.a + y_h @ prob.b + y_c @ ml.r + w_hi)
+    nonneg = np.concatenate([y_lo, y_hi, y_g, y_c, [w_lo, w_hi]])
+    if not (np.max(np.abs(np.append(res_x, res_t))) <= vt and rhs <= -tol
+            and np.min(nonneg) >= -vt):
+        raise NumericalFailureError(
+            "margin search: the infeasibility certificate fails its checks")
+    lower_mult = np.zeros(m + 1)
+    upper_mult = np.zeros(m + 1)
+    lower_mult[m], upper_mult[m] = w_lo, w_hi
+    return {"row_mult": np.concatenate([_box_sides(prob, y_lo, y_hi),
+                                        y_g, y_h, y_c]).tolist(),
+            "lower_mult": lower_mult.tolist(),
+            "upper_mult": upper_mult.tolist()}
 
 
 def _run_margin_search(prob: Problem, extra_rows, tol: float,
@@ -144,23 +251,23 @@ def _run_margin_search(prob: Problem, extra_rows, tol: float,
             status=NOT_FOUND, optimal_t=0.0,
             message=f"bounds pinch atom {idx}; no interior point can exist",
             diagnostics={"pinched_atoms": np.nonzero(pinched)[0].tolist()})
-    out = lpmod.solve(_margin_lp(prob, extra_rows), tol=tol)
+    ml = _margin_lp(prob, extra_rows)
+    out = lpmod.solve(ml.lp, tol=tol)
+    vt = _margin_threshold(prob, ml, tol)
     if out.status is lpmod.LpStatus.INFEASIBLE:
-        diag = {"lp_status": out.status.value}
-        if out.farkas is not None:
-            diag["infeasibility_certificate"] = {
-                "row_mult": out.farkas.row_mult.tolist(),
-                "lower_mult": out.farkas.lower_mult.tolist(),
-                "upper_mult": out.farkas.upper_mult.tolist(),
-            }
         return SlaterReport(
             status=NOT_FOUND, optimal_t=None,
             message=f"no feasible point exists for the {kind} system",
-            diagnostics=diag)
+            diagnostics={"lp_status": out.status.value,
+                         "infeasibility_certificate": _infeasibility_certificate(
+                             prob, ml, out.farkas, vt, tol)})
     if out.status is not lpmod.LpStatus.OPTIMAL:
         raise NumericalFailureError(f"margin search failed: {out.message}")
     t = float(out.value)
-    x = out.x[:prob.size]
+    x = out.x[:prob.size] + ml.shift * t
+    if not _margin_violation(prob, ml, x, t) <= vt:
+        raise NumericalFailureError(
+            "margin search: the recovered point violates a constraint beyond tolerance")
     if t > tol:
         return SlaterReport(status=FOUND, point=x, margin=interior_margin(prob, x),
                             optimal_t=t, feasible_point=x,
@@ -170,7 +277,7 @@ def _run_margin_search(prob: Problem, extra_rows, tol: float,
         status=NOT_FOUND, optimal_t=t, feasible_point=x,
         message=f"best achievable margin {t:.3g} is within tolerance of zero",
         diagnostics={"lp_iterations": out.iterations,
-                     "pinning_duals": None if out.y is None else out.y.tolist()})
+                     "pinning_duals": _pinning_duals(prob, ml, out)})
 
 
 def find_slater(prob: Problem, tol: float = DEFAULT_TOL) -> SlaterReport:

@@ -17,7 +17,8 @@ from slaterkit import (
     normal_K_contains,
     refinement_study,
 )
-from conftest import anchored_problem
+from slaterkit.fileio import load_point, load_problem
+from conftest import DATA, anchored_problem
 
 
 class TestBuildCertificate:
@@ -86,6 +87,16 @@ class TestBuildCertificate:
                 assert normal_K_contains(prob, x, -cert.zeta, 1e-9)
         assert found > 5 and certified > 5
 
+    def test_equalities_with_redundant_rows(self):
+        # 25 atoms, 10 inequalities, 3 equalities: a pivot on a cancellation
+        # residue once left the certificate LP at value zero
+        prob, _ = load_problem(str(DATA / "certificate-lp-equalities.json"))
+        xbar = load_point(str(DATA / "certificate-lp-equalities_x.json"))
+        report = find_slater(prob)
+        assert not report.found
+        cert = build_no_slater_certificate(prob, xbar, slater_report=report)
+        assert cert.max_residual <= 100 * 1e-9
+        assert normal_K_contains(prob, xbar, -cert.zeta, 1e-9)
 
     def test_two_lps_given_a_slater_report(self, lp_calls):
         # one for the rewrite, one for the certificate

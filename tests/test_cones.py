@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slaterkit import (
+    InfeasiblePointError,
     MeasureSpace,
     PreconditionError,
     Problem,
@@ -46,6 +47,11 @@ class TestTangentK:
     def test_zero_direction(self):
         prob = _box([0, 0], [1, 1])
         assert tangent_K_contains(prob, np.array([0.0, 1.0]), np.zeros(2))
+
+    def test_nan_point_rejected(self):
+        prob = _box([0, 0], [1, 1])
+        with pytest.raises(InfeasiblePointError):
+            tangent_K_contains(prob, np.array([math.nan, 0.5]), np.zeros(2))
 
 
 class TestRadialWitness:

@@ -10,11 +10,16 @@ purpose re-records it with
 and says in its description which reports changed and why.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from slaterkit import DEFAULT_TOL, Problem, check_feasible, pairing
 from slaterkit.cli import main
+from slaterkit.fileio import load_point, load_problem
+from slaterkit.slater import interior_margin
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = GOLDEN / "reports"
@@ -83,6 +88,35 @@ def test_report_is_byte_identical(name, tmp_path):
     assert code == CASES[name][1]
     for path in written:
         assert path.read_bytes() == (REPORTS / path.name).read_bytes(), path.name
+
+
+#: cases whose report carries an interior point: a search that exits 0, and
+#: ``certify`` exiting 3 because an interior point exists
+FOUND_CASES = sorted(
+    name for name, (argv, code) in CASES.items()
+    if (argv[0], code) in (("find-slater", 0), ("find-linearized-slater", 0),
+                           ("certify", 3)))
+
+
+@pytest.mark.parametrize("name", FOUND_CASES)
+def test_recorded_interior_point_is_interior(name):
+    # a re-recorded report must not carry a wrong point
+    payload = json.loads((REPORTS / f"{name}.json").read_text())["payload"]
+    assert payload["status"] in ("found", "slater_found")
+    argv = CASES[name][0]
+    prob, _ = load_problem(str(GOLDEN / argv[argv.index("--problem") + 1]))
+    x = np.array(payload["point"])
+    if argv[0] == "find-linearized-slater":
+        # the point is interior for the smooth constraints linearized at the
+        # base point, not for the constraints themselves
+        xbar = load_point(str(GOLDEN / argv[argv.index("--point") + 1]))
+        for con in prob.nonlinear:
+            if abs(con.value(xbar)) <= DEFAULT_TOL:
+                assert pairing(prob.space, con.grad(xbar), x - xbar) < -DEFAULT_TOL
+        prob = Problem(prob.space, prob.p, prob.lower, prob.upper, prob.ineq, prob.eq)
+    assert check_feasible(prob, x, DEFAULT_TOL).feasible
+    assert interior_margin(prob, x) > DEFAULT_TOL
+    assert payload["margin"] > DEFAULT_TOL
 
 
 def record():

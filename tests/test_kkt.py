@@ -63,6 +63,13 @@ class TestRecoverLinear:
         with pytest.raises(InfeasiblePointError):
             recover_multipliers_linear(prob, np.array([3.0]), np.zeros(1))
 
+    def test_nan_slope_rejected(self):
+        prob = Problem(MeasureSpace(np.ones(2)), 2.0, np.zeros(2), np.ones(2),
+                       (), ())
+        with pytest.raises(InvalidGradientError):
+            recover_multipliers_linear(prob, np.full(2, 0.5),
+                                       np.array([math.nan, 1.0]))
+
     def test_nonlinear_problem_rejected(self):
         sp = MeasureSpace(np.ones(1))
         con = QuadraticConstraint(sp, np.array([[2.0]]), np.zeros(1), -1.0)

@@ -1,5 +1,6 @@
 """Interior point search, density nudge, blending, linearized variant."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from slaterkit import (
     ConstructionFailedError,
     InfeasiblePointError,
     MeasureSpace,
+    NumericalFailureError,
     PreconditionError,
     Problem,
     QuadraticConstraint,
@@ -18,8 +20,10 @@ from slaterkit import (
     find_linearized_slater,
     find_slater,
     log_counterexample_model,
+    lp_norm,
     pairing,
 )
+from slaterkit import lp
 from conftest import anchored_problem
 
 
@@ -91,6 +95,190 @@ class TestFindSlater:
             assert rep.found == rep_c.found
             if rep.found:
                 np.testing.assert_allclose(rep.point, rep_c.point, atol=1e-9)
+
+
+def _reference_lp(prob, extra=()):
+    """The margin LP in (x, t), one row per finite box side: maximize t
+    s.t. lo + s t <= x <= hi - s t, the weighted rows, and the extra rows
+    ``row.x + sv t <= rhs`` given as ``(row, sv, rhs)``, with 0 <= t <= 1."""
+    m, w = prob.size, prob.space.weights
+    lo, hi = prob.lower, prob.upper
+    s = np.ones(m)
+    rows, rel, rhs = [], [], []
+
+    def add(coef, t_coef, tag, value):
+        rows.append(np.append(coef, t_coef))
+        rel.append(tag)
+        rhs.append(value)
+
+    for i in range(m):
+        if math.isfinite(lo[i]) and math.isfinite(hi[i]):
+            s[i] = min(1.0, (hi[i] - lo[i]) / 2.0)
+        unit = np.zeros(m)
+        unit[i] = 1.0
+        if math.isfinite(lo[i]):
+            add(-unit, s[i], "<=", -lo[i])
+        if math.isfinite(hi[i]):
+            add(unit, s[i], "<=", hi[i])
+    for g, a in prob.ineq:
+        add(g * w, 0.0, "<=", a)
+    for h, b in prob.eq:
+        add(h * w, 0.0, "==", b)
+    for g, sv, r in extra:
+        add(g * w, sv, "<=", r)
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    return lp.LinearProgram(c, np.array(rows).reshape(-1, m + 1), tuple(rel),
+                            np.array(rhs), np.append(np.full(m, -math.inf), 0.0),
+                            np.append(np.full(m, math.inf), 1.0))
+
+
+def _active_quadratic(rng, prob, x):
+    """The problem plus one random quadratic constraint active at ``x``."""
+    m = prob.size
+    Q = rng.integers(-1, 2, size=(m, m)).astype(float)
+    q = rng.integers(-2, 3, size=m).astype(float)
+    xw = x * prob.space.weights
+    c = -(0.5 * xw @ (0.5 * (Q + Q.T)) @ xw + q @ xw)
+    con = QuadraticConstraint(prob.space, Q, q, c)
+    return Problem(prob.space, prob.p, prob.lower, prob.upper, prob.ineq,
+                   prob.eq, (con,))
+
+
+class TestMarginLp:
+    """The shifted margin LP against the (x, t) LP with a row per box side."""
+
+    def _cases(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            prob, x = anchored_problem(rng, int(rng.integers(1, 6)),
+                                       int(rng.integers(0, 3)),
+                                       int(rng.integers(0, 2)), strict_box=True)
+            yield rng, prob, x
+
+    def _agrees(self, rep, ref):
+        if ref.status is lp.LpStatus.INFEASIBLE:
+            assert not rep.found and rep.optimal_t is None
+            return
+        assert ref.status is lp.LpStatus.OPTIMAL
+        assert rep.found == (ref.value > 1e-9)
+        assert abs(rep.optimal_t - ref.value) <= 1e-9
+
+    def test_same_optimum_as_reference(self):
+        kinds = set()
+        for _, prob, _ in self._cases(94, 150):
+            kinds.update(zip(np.isfinite(prob.lower), np.isfinite(prob.upper)))
+            self._agrees(find_slater(prob), lp.solve(_reference_lp(prob)))
+        assert kinds == {(True, True), (True, False), (False, True)}
+
+    def test_same_optimum_as_reference_linearized(self):
+        for rng, prob, x in self._cases(95, 80):
+            prob = _active_quadratic(rng, prob, x)
+            grad = prob.nonlinear[0].grad(x)
+            extra = [(grad, max(1.0, lp_norm(prob.space, grad, 2.0)),
+                      pairing(prob.space, grad, x))]
+            ref = lp.solve(_reference_lp(prob, extra))
+            self._agrees(find_linearized_slater(prob, x), ref)
+
+    def test_free_atoms(self):
+        # free atoms have no box row in either formulation
+        prob = _prob([1.0, 2.0, 1.0], [-math.inf, 0.0, -math.inf],
+                     [math.inf, 1.0, 2.0], ineq=[(np.array([1.0, 1.0, 1.0]), 1.0)],
+                     eq=[(np.array([1.0, 0.0, -1.0]), 0.5)])
+        self._agrees(find_slater(prob), lp.solve(_reference_lp(prob)))
+
+    def test_infeasibility_certificate_verifies_on_reference(self):
+        rng = np.random.default_rng(96)
+        checked = 0
+        for _, prob, x in self._cases(96, 40):
+            g = rng.integers(-2, 3, size=prob.size).astype(float)
+            a = pairing(prob.space, g, x)
+            # g.x <= a - 1 and -g.x <= -a leave nothing feasible
+            empty = Problem(prob.space, prob.p, prob.lower, prob.upper,
+                            prob.ineq + ((g, a - 1.0), (-g, -a)), prob.eq)
+            rep = find_slater(empty)
+            assert not rep.found and rep.optimal_t is None
+            ref = _reference_lp(empty)
+            cert = lp.FarkasCertificate(
+                *(np.array(rep.diagnostics["infeasibility_certificate"][k])
+                  for k in ("row_mult", "lower_mult", "upper_mult")))
+            assert np.max(np.abs(cert.combination_residual(ref))) <= 1e-9
+            assert cert.combined_rhs(ref) < -1e-9
+            le = np.array([t == "<=" for t in ref.rel])
+            assert np.all(cert.row_mult[le] >= -1e-9)
+            assert np.max(np.abs(np.concatenate(
+                [cert.row_mult, cert.lower_mult, cert.upper_mult]))) == pytest.approx(1.0)
+            checked += 1
+        assert checked == 40
+
+    def test_pinning_duals_are_reference_duals(self):
+        pinned = 0
+        for _, prob, _ in self._cases(97, 150):
+            rep = find_slater(prob)
+            if rep.found or rep.optimal_t is None:
+                continue
+            pinned += 1
+            ref = _reference_lp(prob)
+            y = np.array(rep.diagnostics["pinning_duals"])
+            assert y.shape == (ref.n_rows,)
+            # a dual optimum of the reference: A'y = 0 on x, y >= 0 on its
+            # <= rows, at least c_t = 1 on t, and y.b = t
+            le = np.array([t == "<=" for t in ref.rel])
+            assert np.all(y[le] >= -1e-9)
+            np.testing.assert_allclose(ref.A[:, :-1].T @ y, 0.0, atol=1e-7)
+            assert ref.A[:, -1] @ y >= 1.0 - 1e-7
+            assert abs(ref.b @ y - rep.optimal_t) <= 1e-7
+        assert pinned > 20
+
+    def test_one_row_per_two_sided_atom_and_linear_row(self, lp_calls):
+        for _, prob, _ in self._cases(98, 30):
+            del lp_calls[:]
+            find_slater(prob)
+            two = int(np.sum(np.isfinite(prob.lower) & np.isfinite(prob.upper)))
+            assert [c.n_rows for c in lp_calls] == [two + prob.n_ineq + prob.n_eq]
+
+    def test_linearized_adds_one_row_per_active_constraint(self, lp_calls):
+        for rng, prob, x in self._cases(99, 10):
+            prob = _active_quadratic(rng, prob, x)
+            del lp_calls[:]
+            find_linearized_slater(prob, x)
+            two = int(np.sum(np.isfinite(prob.lower) & np.isfinite(prob.upper)))
+            assert [c.n_rows for c in lp_calls] == [two + prob.n_ineq + prob.n_eq + 1]
+
+    def test_answers_are_checked_on_the_unshifted_lp(self, monkeypatch):
+        # a kernel answer that does not hold for (x, t) is never reported
+        prob = _prob([1.0, 1.0], [0.0, -math.inf], [1.0, 2.0],
+                     ineq=[(np.array([1.0, 1.0]), 1.0)])
+        solve = lp.solve
+
+        def off_by_one(prog, *args, **kwargs):
+            out = solve(prog, *args, **kwargs)
+            return dataclasses.replace(out, x=out.x + 1.0)
+
+        monkeypatch.setattr(lp, "solve", off_by_one)
+        with pytest.raises(NumericalFailureError):
+            find_slater(prob)
+
+        empty = _prob([1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                      ineq=[(np.array([1.0, 1.0]), -1.0)])
+
+        def scaled_certificate(prog, *args, **kwargs):
+            out = solve(prog, *args, **kwargs)
+            f = out.farkas
+            return dataclasses.replace(out, farkas=lp.FarkasCertificate(
+                f.row_mult, 2.0 * f.lower_mult, f.upper_mult))
+
+        monkeypatch.setattr(lp, "solve", scaled_certificate)
+        with pytest.raises(NumericalFailureError):
+            find_slater(empty)
+
+    def test_log_family_is_one_row(self, lp_calls):
+        prob, _, _ = log_counterexample_model(1024)
+        rep = find_slater(prob)
+        assert not rep.found
+        assert [c.n_rows for c in lp_calls] == [1]
+        assert rep.diagnostics["lp_iterations"] <= 2
+        assert len(rep.diagnostics["pinning_duals"]) == 1024 + 1
 
 
 class TestDensityConstruction:
