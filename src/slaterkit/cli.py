@@ -13,6 +13,7 @@ explicit ``--tol`` flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -68,7 +69,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process.  Building it costs more than most
+    commands' file parsing, so in-process callers of :func:`main` share it;
+    each ``parse_args`` returns a fresh namespace, and no handler may
+    change the parser."""
     parser = _Parser(prog="slaterkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
@@ -144,10 +150,17 @@ def _write_report(args, command: str, tol: float, payload) -> None:
         "payload": payload,
     })
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _say(message: str) -> None:
@@ -229,8 +242,8 @@ def _cmd_preprocess(args, tol):
     if args.out_problem:
         tilde = Problem(prob.space, prob.p, prob.lower, prob.upper,
                         sysm.ineq, sysm.eq, prob.nonlinear)
-        with open(args.out_problem, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(problem_to_dict(tilde, objective)))
+        _write_file(args.out_problem,
+                    canonical_json(problem_to_dict(tilde, objective)))
     _say(f"kept {len(sysm.ineq)} inequalities, {len(sysm.eq)} equalities; "
          f"witness margin "
          + ("unconstrained" if math.isinf(sysm.witness_margin)
@@ -350,10 +363,9 @@ def _cmd_refine(args, tol):
     }
     _write_report(args, "refine", tol, payload)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("M,alpha_min,residual\n")
-            for m, a, r in zip(rep.levels, rep.alpha, rep.residual):
-                fh.write(f"{m},{format(a, '.17g')},{format(r, '.17g')}\n")
+        _write_file(args.csv, "M,alpha_min,residual\n" + "".join(
+            f"{m},{format(a, '.17g')},{format(r, '.17g')}\n"
+            for m, a, r in zip(rep.levels, rep.alpha, rep.residual)))
     _say(rep.description)
     return EXIT_OK
 
@@ -394,9 +406,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         tol = _resolve_tol(args)
         return _HANDLERS[args.command](args, tol)
     except _UsageError as exc:

@@ -55,12 +55,63 @@ def _bound_entry(v, field: str) -> float:
     return _number(v, field)
 
 
+#: Entry types ``_vector`` accepts without looking at each entry (bool is
+#: not among them, though it is an int subclass).
+_NUMERIC = {float, int}
+_INFINITE = {"inf": math.inf, "-inf": -math.inf}
+_FLOAT = {float}
+
+
 def _vector(v, field: str, bounds: bool = False) -> np.ndarray:
+    """Float array from a JSON array, checked array-at-a-time.
+
+    With ``bounds`` the strings ``"inf"``/``"-inf"`` stand for infinite
+    sides.  Only when the whole-array check fails are the entries checked
+    one by one, so that the error names the first bad one.
+    """
     if not isinstance(v, list):
         raise FileFormatError(f"field {field!r} must be an array")
+    entries = v
+    n_infinite = 0
+    if bounds:
+        n_infinite = v.count("inf") + v.count("-inf")
+        if n_infinite:
+            entries = [_INFINITE.get(e, e) if type(e) is str else e for e in v]
+    if set(map(type, entries)) <= _NUMERIC:
+        try:
+            out = np.array(entries, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+        else:
+            if np.count_nonzero(~np.isfinite(out)) == n_infinite:
+                return out
     conv = _bound_entry if bounds else _number
     return np.array([conv(e, f"{field}[{k}]") for k, e in enumerate(v)],
                     dtype=float)
+
+
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                              f"{exc.start}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+
+
+def _rows(raw: dict, key: str) -> list:
+    rows = raw.get(key, [])
+    if not isinstance(rows, list):
+        raise FileFormatError(f"field {key!r} must be an array")
+    return rows
 
 
 def load_problem(path: str):
@@ -74,15 +125,7 @@ def load_problem(path: str):
     FileFormatError
         With the offending field (or JSON line/column) in the message.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     for key in ("weights", "lower", "upper"):
@@ -102,21 +145,21 @@ def load_problem(path: str):
     upper = _vector(raw["upper"], "upper", bounds=True)
 
     ineq = []
-    for k, entry in enumerate(raw.get("ineq", [])):
+    for k, entry in enumerate(_rows(raw, "ineq")):
         if not isinstance(entry, dict) or set(entry) != {"g", "a"}:
             raise FileFormatError(
                 f"ineq[{k}] must be an object with exactly the keys g and a")
         ineq.append((_vector(entry["g"], f"ineq[{k}].g"),
                      _number(entry["a"], f"ineq[{k}].a")))
     eq = []
-    for k, entry in enumerate(raw.get("eq", [])):
+    for k, entry in enumerate(_rows(raw, "eq")):
         if not isinstance(entry, dict) or set(entry) != {"h", "b"}:
             raise FileFormatError(
                 f"eq[{k}] must be an object with exactly the keys h and b")
         eq.append((_vector(entry["h"], f"eq[{k}].h"),
                    _number(entry["b"], f"eq[{k}].b")))
     nonlinear = []
-    for k, entry in enumerate(raw.get("quad_ineq", [])):
+    for k, entry in enumerate(_rows(raw, "quad_ineq")):
         if not isinstance(entry, dict) or set(entry) != {"Q", "q", "c"}:
             raise FileFormatError(
                 f"quad_ineq[{k}] must be an object with exactly Q, q, c")
@@ -124,9 +167,8 @@ def load_problem(path: str):
         if (not isinstance(qmat, list) or len(qmat) != m
                 or any(not isinstance(row, list) or len(row) != m for row in qmat)):
             raise FileFormatError(f"quad_ineq[{k}].Q must be a {m}x{m} array")
-        Q = np.array([[_number(v, f"quad_ineq[{k}].Q[{i}][{j}]")
-                       for j, v in enumerate(row)]
-                      for i, row in enumerate(qmat)], dtype=float)
+        Q = np.array([_vector(row, f"quad_ineq[{k}].Q[{i}]")
+                      for i, row in enumerate(qmat)])
         nonlinear.append(QuadraticConstraint(
             space, Q, _vector(entry["q"], f"quad_ineq[{k}].q"),
             _number(entry["c"], f"quad_ineq[{k}].c")))
@@ -158,19 +200,10 @@ def load_problem(path: str):
 
 def load_point(path: str) -> np.ndarray:
     """Parse a point file: a bare JSON array of numbers."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise FileFormatError(f"{path}: point file must be a JSON array")
-    return np.array([_number(v, f"point[{k}]") for k, v in enumerate(raw)],
-                    dtype=float)
+    return _vector(raw, "point")
 
 
 def problem_to_dict(prob: Problem, objective=None) -> dict:
@@ -178,8 +211,8 @@ def problem_to_dict(prob: Problem, objective=None) -> dict:
     out = {
         "p": "inf" if math.isinf(prob.p) else prob.p,
         "weights": prob.space.weights.tolist(),
-        "lower": [_bound_out(v) for v in prob.lower],
-        "upper": [_bound_out(v) for v in prob.upper],
+        "lower": [_bound_out(v) for v in prob.lower.tolist()],
+        "upper": [_bound_out(v) for v in prob.upper.tolist()],
         "ineq": [{"g": np.asarray(g, dtype=float).tolist(), "a": float(a)}
                  for g, a in prob.ineq],
         "eq": [{"h": np.asarray(h, dtype=float).tolist(), "b": float(b)}
@@ -204,30 +237,51 @@ def problem_to_dict(prob: Problem, objective=None) -> dict:
 def _bound_out(v: float):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return float(v)
+    return v
+
+
+def _emit_float(v: float) -> str:
+    if math.isnan(v):
+        return '"nan"'
+    if math.isinf(v):
+        return '"inf"' if v > 0 else '"-inf"'
+    return format(v, ".17g")
+
+
+def _emit_list(obj) -> str:
+    if set(map(type, obj)) <= _FLOAT and all(map(math.isfinite, obj)):
+        return "[" + ",".join([format(v, ".17g") for v in obj]) + "]"
+    return "[" + ",".join([_emit(v) for v in obj]) + "]"
+
+
+def _emit_dict(obj) -> str:
+    items = sorted((str(k), v) for k, v in obj.items())
+    return "{" + ",".join([json.dumps(k) + ":" + _emit(v)
+                           for k, v in items]) + "}"
 
 
 def _emit(obj) -> str:
+    kind = type(obj)
+    if kind is float:
+        return _emit_float(obj)
+    if kind is list or kind is tuple:
+        return _emit_list(obj)
+    if kind is dict:
+        return _emit_dict(obj)
     if obj is None or isinstance(obj, (bool, str, int)):
         return json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return '"nan"'
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return format(obj, ".17g")
+    if isinstance(obj, float):  # np.float64 and other float subclasses
+        return _emit_float(obj)
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _emit(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.floating):
+        return _emit_float(float(obj))
+    if isinstance(obj, np.integer):
         return json.dumps(int(obj))
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
+        return _emit_list(obj)
     if isinstance(obj, dict):
-        items = sorted((str(k), v) for k, v in obj.items())
-        return "{" + ",".join(json.dumps(k) + ":" + _emit(v)
-                              for k, v in items) + "}"
+        return _emit_dict(obj)
     raise FileFormatError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -26,6 +26,7 @@ from .model import (
     DEFAULT_TOL,
     Problem,
     RegionPartition,
+    _as_vector,
     check_feasible,
     conjugate_exponent,
     lp_norm,
@@ -142,6 +143,16 @@ def _package(prob: Problem, x: np.ndarray, got, part: RegionPartition,
                        gamma=gamma)
 
 
+def _point_and_slope(prob: Problem, xbar, grad_f):
+    """``xbar`` and ``grad_f`` as float vectors of the problem's length,
+    with a finite slope."""
+    xbar = _as_vector(xbar, prob.size, "base point")
+    grad_f = _as_vector(grad_f, prob.size, "objective slope")
+    if not np.all(np.isfinite(grad_f)):
+        raise InvalidGradientError("objective slope must be finite")
+    return xbar, grad_f
+
+
 def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
                                grad_f: np.ndarray,
                                tol: float = DEFAULT_TOL) -> KktOutcome:
@@ -153,6 +164,8 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
 
     Raises
     ------
+    DimensionMismatchError
+        If ``xbar`` or ``grad_f`` does not have one entry per atom.
     InfeasiblePointError
         If ``xbar`` is not feasible.
     InvalidGradientError
@@ -164,10 +177,7 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
     if prob.nonlinear:
         raise PreconditionError(
             "problem has smooth constraints; use recover_multipliers_nonlinear")
-    xbar = np.asarray(xbar, dtype=float)
-    grad_f = np.asarray(grad_f, dtype=float)
-    if not np.all(np.isfinite(grad_f)):
-        raise InvalidGradientError("objective slope must be finite")
+    xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
     rep = check_feasible(prob, xbar, tol)
     if not rep.feasible:
         worst = rep.violations[0]
@@ -235,10 +245,9 @@ def recover_multipliers_nonlinear(prob: Problem, xbar: np.ndarray,
 
     Raises
     ------
-    InvalidGradientError, InfeasiblePointError
+    DimensionMismatchError, InvalidGradientError, InfeasiblePointError
     """
-    xbar = np.asarray(xbar, dtype=float)
-    grad_f = np.asarray(grad_f, dtype=float)
+    xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
     validate_gradients(prob, xbar, fd_rel_tol)
     part = regions(prob, xbar, tol)
     slater = find_linearized_slater(prob, xbar, tol)

@@ -59,6 +59,11 @@ class SlaterReport:
     otherwise ``feasible_point`` still carries a (non-interior) feasible
     point whenever one exists.  ``optimal_t`` is the best margin the search
     achieved and ``margin`` the scaled bound distance of the returned point.
+
+    From :func:`find_linearized_slater`, "interior" and "feasible" refer to
+    the problem with its active smooth constraints replaced by their
+    linearization at the base point: ``point`` and ``feasible_point`` need
+    not satisfy the smooth constraints themselves.
     """
 
     status: str
@@ -300,6 +305,11 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
     its first-order model to decrease proportionally to the margin; the
     proportionality constant is the dual norm of the constraint slope, so
     steep and shallow constraints are treated alike.
+
+    The returned ``point`` and ``feasible_point`` are interior (feasible)
+    for that linearized system and need not satisfy the smooth constraints
+    themselves: for x² + y² ≤ 1 on the box [-2, 2]² with y ≤ 1, linearized
+    at (1, 0), the search may report (-1, -1).
 
     Raises
     ------

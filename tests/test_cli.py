@@ -3,11 +3,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from slaterkit import log_counterexample_model, problem_to_dict, canonical_json
+from slaterkit import cli
 from slaterkit.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -282,3 +289,97 @@ class TestSelftest:
         assert main(["selftest", "--criteria", "1"]) == 2
         monkeypatch.setenv("SLATERKIT_TOL", "10")
         assert main(["selftest", "--criteria", "1", "--tol", "1e-9"]) == 0
+
+
+class TestOutputPaths:
+    """An output file that cannot be written is a usage error, not a traceback."""
+
+    def _refused(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write ")
+        assert len(err.splitlines()) == 1
+
+    def test_out(self, open_box, tmp_path, capsys):
+        prob, _ = open_box
+        self._refused(["find-slater", "--problem", prob,
+                       "--out", str(tmp_path / "absent" / "r.json")], capsys)
+
+    def test_out_problem(self, open_box, tmp_path, capsys):
+        prob, _ = open_box
+        self._refused(["preprocess", "--problem", prob, "--out", str(tmp_path / "r.json"),
+                       "--out-problem", str(tmp_path / "absent" / "p.json")], capsys)
+
+    def test_csv(self, tmp_path, capsys):
+        self._refused(["refine", "--levels", "4", "--out", str(tmp_path / "r.json"),
+                       "--csv", str(tmp_path / "absent" / "law.csv")], capsys)
+
+
+def _fresh_process(argv, env_tol=None):
+    """Exit code and stdout of ``argv`` as the first call of a new process."""
+    env = {k: v for k, v in os.environ.items() if k != "SLATERKIT_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if env_tol is not None:
+        env["SLATERKIT_TOL"] = env_tol
+    proc = subprocess.run([sys.executable, "-m", "slaterkit", *argv],
+                          capture_output=True, env=env, timeout=120, check=False)
+    return proc.returncode, proc.stdout.decode("utf-8")
+
+
+class TestInProcessReuse:
+    """Calls of ``main`` in one process share a parser and nothing else."""
+
+    def _same_as_fresh(self, argv, capsys, env_tol=None):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == _fresh_process(argv, env_tol)
+        return code, out
+
+    def test_parser_built_once(self, open_box, capsys):
+        prob, _ = open_box
+        main(["find-slater", "--problem", prob])
+        main(["find-slater", "--problem", prob, "--tol", "1e-6"])
+        capsys.readouterr()
+        info = cli._build_parser.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
+    def test_tolerance_flag_does_not_stick(self, open_box, capsys):
+        prob, _ = open_box
+        _, out = self._same_as_fresh(["find-slater", "--problem", prob,
+                                      "--tol", "1e-6"], capsys)
+        assert json.loads(out)["tolerance"] == 1e-6
+        _, out = self._same_as_fresh(["find-slater", "--problem", prob], capsys)
+        assert json.loads(out)["tolerance"] == 1e-9
+
+    def test_environment_read_per_call(self, open_box, capsys, monkeypatch):
+        prob, _ = open_box
+        monkeypatch.setenv("SLATERKIT_TOL", "1e-6")
+        _, out = self._same_as_fresh(["find-slater", "--problem", prob], capsys,
+                                     env_tol="1e-6")
+        assert json.loads(out)["tolerance"] == 1e-6
+        monkeypatch.delenv("SLATERKIT_TOL")
+        _, out = self._same_as_fresh(["find-slater", "--problem", prob], capsys)
+        assert json.loads(out)["tolerance"] == 1e-9
+
+    def test_usage_error_then_valid_call(self, open_box, capsys):
+        prob, x = open_box
+        assert self._same_as_fresh(["check-feasible", "--problem", prob],
+                                   capsys) == (1, "")
+        code, _ = self._same_as_fresh(["check-feasible", "--problem", prob,
+                                       "--point", x], capsys)
+        assert code == 0
+
+    def test_out_problem_does_not_stick(self, tmp_path, capsys):
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps({
+            "weights": [1.0, 1.0], "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+            "ineq": [{"g": [1.0, 1.0], "a": 1.0}, {"g": [-1.0, -1.0], "a": -1.0}]}))
+        here, there = tmp_path / "here.json", tmp_path / "there.json"
+        code = main(["preprocess", "--problem", str(src), "--out-problem", str(here)])
+        out = capsys.readouterr().out
+        assert (code, out) == _fresh_process(
+            ["preprocess", "--problem", str(src), "--out-problem", str(there)])
+        assert here.read_bytes() == there.read_bytes()
+        here.unlink()
+        self._same_as_fresh(["preprocess", "--problem", str(src)], capsys)
+        assert not here.exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slaterkit import (
+    DimensionMismatchError,
     InfeasiblePointError,
     InvalidGradientError,
     MeasureSpace,
@@ -69,6 +70,14 @@ class TestRecoverLinear:
         with pytest.raises(InvalidGradientError):
             recover_multipliers_linear(prob, np.full(2, 0.5),
                                        np.array([math.nan, 1.0]))
+
+    @pytest.mark.parametrize("x, grad", [([0.5], [1.0, 1.0]), ([0.5, 0.5], [1.0]),
+                                         ([0.5, 0.5], [1.0, 1.0, 1.0])])
+    def test_wrong_length_rejected(self, x, grad):
+        prob = Problem(MeasureSpace(np.ones(2)), 2.0, np.zeros(2), np.ones(2),
+                       (), ())
+        with pytest.raises(DimensionMismatchError):
+            recover_multipliers_linear(prob, np.array(x), np.array(grad))
 
     def test_nonlinear_problem_rejected(self):
         sp = MeasureSpace(np.ones(1))
@@ -210,6 +219,18 @@ class TestNonlinearPath:
         with pytest.raises(InvalidGradientError):
             recover_multipliers_nonlinear(prob, np.array([1.0]),
                                           np.array([-2.0]))
+
+    @pytest.mark.parametrize("x, grad", [([], [-2.0]), ([1.0], [-2.0, 0.0])])
+    def test_wrong_length_rejected(self, x, grad):
+        prob = self._prob([0.0], [2.0])
+        with pytest.raises(DimensionMismatchError):
+            recover_multipliers_nonlinear(prob, np.array(x), np.array(grad))
+
+    def test_nan_slope_rejected(self):
+        prob = self._prob([0.0], [2.0])
+        with pytest.raises(InvalidGradientError):
+            recover_multipliers_nonlinear(prob, np.array([1.0]),
+                                          np.array([math.nan]))
 
     def test_validate_gradients_accepts_honest_slope(self):
         prob = self._prob([0.0], [2.0])
