@@ -62,11 +62,21 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse finished early (``--help``); ``args[0]`` is the exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on errors; the contract here wants 1."""
+    """argparse exits with code 2 on errors; the contract here wants 1.  It
+    also exits after printing ``--help``; :func:`main` returns instead."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 @functools.cache
@@ -410,6 +420,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         tol = _resolve_tol(args)
         return _HANDLERS[args.command](args, tol)
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         _say(f"usage error: {exc}")
         return EXIT_USAGE

@@ -1,60 +1,59 @@
 """Self-contained dense linear-programming kernel.
 
 Solves ``maximize c.x`` subject to tagged rows (``<=``, ``==``, ``>=``) and
-pointwise variable bounds that may be infinite.  The solver is a two-phase
-tableau simplex:
+variable bounds that may be infinite, with a two-phase bounded-variable
+tableau simplex (Dantzig's upper-bounding technique):
 
-* variables are shifted or split so the working variables are nonnegative,
-  finite shifted upper bounds become extra rows;
-* rows get slacks, equality rows get artificial columns, and a single extra
-  artificial column repairs negative right-hand sides among the inequality
-  rows in one pivot, so phase one starts from the slack basis;
-* pivots use the largest-coefficient rule with a deterministic first-index
-  tie-break, switching permanently to Bland's smallest-index rule after a
-  stretch of stalled pivots, which guarantees termination;
-* a pivot entry must exceed both an absolute threshold and a small fraction
-  of the largest entry in its column (or row, when driving artificials out
-  of the basis).
+* a bound is never a row: a nonbasic column rests at a bound (a free one at
+  zero, as one column) and flips to its opposite bound without a pivot;
+* ``<=`` rows ``a x_p + g x_key <= h`` (``a > 0``, a column ``x_p`` of their
+  own, one key column shared by all) are implicit variable upper bounds
+  (Schrage's technique): they stay out of the tableau, and their basic
+  representative (the slack, or ``x_p`` while tight) is read off the row;
+* every other row gets a slack (a ``>=`` row is negated) or, on an
+  equality, an artificial; one shared artificial repairs the violated
+  inequality rows in one pivot, so phase one starts from the logical basis;
+* the entering column has the largest reduced cost (first index on ties),
+  switching for good to Bland's rule after a stretch of stalled iterations,
+  and a pivot entry must exceed an absolute threshold and a small fraction
+  of the largest entry in its column.
 
-Outcomes carry dual vectors and certificates: row duals and reduced costs at
-optimality, a Farkas ray (row plus bound multipliers) on infeasibility, and a
-feasible point plus improving ray on unboundedness.  Every outcome is
-verified post hoc; a certificate that fails its residual checks downgrades
-the status to ``NUMERICAL_FAILURE`` rather than ever returning a wrong
-certificate.
+``LpOutcome.iterations`` counts pivots and bound flips alike.  A working
+tableau above a fixed memory cap is refused (``NumericalFailureError``)
+before it is allocated.  Every outcome is re-checked on the original rows
+and bounds at a threshold scaled by the largest coefficient, right-hand side
+or objective entry (bounds take no part); a failed check gives
+``NUMERICAL_FAILURE``, never a wrong certificate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericalFailureError
 
-__all__ = [
-    "LpStatus",
-    "LinearProgram",
-    "FarkasCertificate",
-    "LpOutcome",
-    "solve",
-    "feasibility",
-    "DEFAULT_FEAS_TOL",
-    "DEFAULT_PIVOT_TOL",
-]
+__all__ = ["LpStatus", "LinearProgram", "FarkasCertificate", "LpOutcome", "solve",
+           "feasibility", "DEFAULT_FEAS_TOL", "DEFAULT_PIVOT_TOL"]
 
 LE, EQ, GE = "<=", "==", ">="
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
 
-_STALL_LIMIT = 60  # stalled pivots before switching to Bland's rule
+_STALL_LIMIT = 60  # stalled iterations before switching to Bland's rule
 #: A pivot entry must also exceed this fraction of the largest entry in its
-#: column (ratio test) or row (driving out artificials): a smaller one is a
-#: cancellation residue, and pivoting on it leaves a near-singular basis.
+#: column: a smaller one is a cancellation residue, and pivoting on it leaves
+#: a near-singular basis.
 _REL_PIVOT = 1e-9
+#: Largest working tableau, in bytes, that the dense kernel allocates.
+_MAX_TABLEAU_BYTES = 2 ** 29
+#: Fewest variable-upper-bound rows kept implicit: each costs bookkeeping per
+#: iteration, which a tableau row of a small program costs less than.
+_MIN_IMPLICIT = 100
 
 
 class LpStatus(enum.Enum):
@@ -109,12 +108,8 @@ class LinearProgram:
             raise ValueError("row data must be finite")
         for name, arr in (("c", c), ("A", A), ("b", b), ("lower", lo), ("upper", hi)):
             arr.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def n_vars(self) -> int:
@@ -145,12 +140,9 @@ class FarkasCertificate:
         return lp.A.T @ self.row_mult - self.lower_mult + self.upper_mult
 
     def combined_rhs(self, lp: LinearProgram) -> float:
-        val = float(self.row_mult @ lp.b)
-        lo_fin = np.isfinite(lp.lower)
-        hi_fin = np.isfinite(lp.upper)
-        val -= float(self.lower_mult[lo_fin] @ lp.lower[lo_fin])
-        val += float(self.upper_mult[hi_fin] @ lp.upper[hi_fin])
-        return val
+        lo, hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+        return float(self.row_mult @ lp.b - self.lower_mult[lo] @ lp.lower[lo]
+                     + self.upper_mult[hi] @ lp.upper[hi])
 
 
 @dataclass(frozen=True)
@@ -167,227 +159,385 @@ class LpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# variable and row transformation
+# the bounded-variable tableau
 
 
-class _Transform:
-    """Bookkeeping for the shift/flip/split to nonnegative variables.
+def _row_kinds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the ``<=`` and ``>=`` rows; the rest are equalities."""
+    rel = np.array(lp.rel, dtype="<U2")
+    return rel == LE, rel == GE
 
-    Working column ``k`` is ``sign[k]`` times original variable ``var[k]``
-    minus its offset, so ``x = offsets + sum_k sign[k] x'_k e_var[k]``.  A
-    variable with a finite lower bound is shifted, one with only a finite
-    upper bound is flipped, and a free one is split into two columns.
-    """
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        lo, hi = lp.lower, lp.upper
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        self.free = ~has_lo & ~has_hi
-        self.offsets = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-        reps = np.where(self.free, 2, 1)
-        first = np.cumsum(reps) - reps  # first working column of each variable
-        self.var = np.repeat(np.arange(lp.n_vars), reps)
-        self.sign = np.ones(self.var.size)
-        self.sign[first[~has_lo & has_hi]] = -1.0
-        self.sign[first[self.free] + 1] = -1.0
-        # upper bound of the shifted variable
-        self.col_upper = np.full(self.var.size, math.inf)
-        self.col_upper[first[has_lo]] = hi[has_lo] - lo[has_lo]
-
-    def shift_columns(self, A: np.ndarray) -> np.ndarray:
-        """Columns of ``A`` in working variables; adding 0.0 turns -0.0 into
-        0.0, as a product with the sign matrix would."""
-        return A[:, self.var] * self.sign + 0.0
-
-    def ray_to_original(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.lp.n_vars)
-        np.add.at(out, self.var, self.sign * xs)
-        return out
-
-    def to_original(self, xs: np.ndarray) -> np.ndarray:
-        return self.offsets + self.ray_to_original(xs)
+def _implicit_rows(lp: LinearProgram, le: np.ndarray):
+    """Variable-upper-bound rows ``a x_p + g x_key <= h`` (``a > 0``): the
+    key column, the rows and their own columns ``p``, one row per own
+    column (none below ``_MIN_IMPLICIT`` candidates).  The key is the column
+    most of the two-entry ``<=`` rows share."""
+    nz = lp.A != 0.0
+    rows = np.flatnonzero(le & (np.count_nonzero(nz, axis=1) == 2))
+    if rows.size < _MIN_IMPLICIT:
+        return 0, np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    first = nz.argmax(axis=1)[rows]
+    last = lp.n_vars - 1 - nz[:, ::-1].argmax(axis=1)[rows]
+    key = int(np.argmax(np.bincount(np.concatenate([first, last]))))
+    own, ok = first + last - key, (first == key) | (last == key)
+    ok[ok] = lp.A[rows[ok], own[ok]] > 0.0
+    first = np.sort(np.unique(own[ok], return_index=True)[1])
+    return key, rows[ok][first], own[ok][first]
 
 
 class _Tableau:
+    """Working tableau over the explicit rows; the implicit rows stay out.
+
+    Rows 0 and 1 of ``T`` hold the reduced costs of the two phases, so a
+    pivot updates them too; working row ``r`` has basic column ``basis[r]``
+    with value, bounds and Bland order ``bv``, ``bl``, ``bh``, ``bo``.
+    Columns: structural variables, a logical per explicit row, the shared
+    artificial.  Per column: ``x`` (value when nonbasic), ``lo``, ``hi``,
+    ``row_of`` (-1: nonbasic), ``dirn`` (+1/-1: may only rise/fall, 0: may
+    not move), ``free`` (nonbasic and free) and ``order``.
+
+    Implicit row ``i`` shares ``x_p``'s column with its slack ``v_i``: it
+    holds ``x_p`` while the row is loose and ``v_i`` while it is tight; the
+    other one is the basic representative.  Unless ``x_p`` is basic in
+    ``T`` the representative is ``c - kk[i] key``, reaching a bound at key
+    ``up[i]`` (rising) or ``down[i]`` (falling).  A row with only the key
+    left to represent it joins ``T`` for good, ``v_i`` in column
+    ``spare[i]``.
+    """
+
     def __init__(self, lp: LinearProgram, pivot_tol: float):
-        self.lp = lp
-        self.pivot_tol = pivot_tol
-        tr = _Transform(lp)
-        self.tr = tr
-        ncols = tr.var.size
+        self.pivot_tol, self.iterations = pivot_tol, 0
+        A, n = lp.A, lp.n_vars
+        le, ge = _row_kinds(lp)
+        x0 = np.where(np.isfinite(lp.lower), lp.lower,
+                      np.where(np.isfinite(lp.upper), lp.upper, 0.0))
+        key, vrows, vp = _implicit_rows(lp, le)
+        va = vg = c = np.zeros(0)
+        if vrows.size:
+            va, vg, c = A[vrows, vp], A[vrows, key], lp.b[vrows] - A[vrows, vp] * x0[vp]
+            ok = c - vg * x0[key] >= 0.0  # a row the starting point violates stays explicit
+            vrows, vp, va, vg, c = vrows[ok], vp[ok], va[ok], vg[ok], c[ok]
+        nv = vrows.size
+        R = np.delete(np.arange(lp.n_rows), vrows)
+        nr, ncols, cap = R.size, n + R.size + 1, R.size + 4
+        if 8 * cap * ncols > _MAX_TABLEAU_BYTES:
+            raise NumericalFailureError(
+                f"LP too large for the dense kernel: a {nr} x {ncols} working tableau "
+                f"exceeds {_MAX_TABLEAU_BYTES // 2 ** 20} MiB")
+        # explicit rows, oriented so the logical is +1 and at a feasible level
+        eq = ~(le | ge)[R]
+        resid = lp.b[R] - A[R] @ x0
+        o = np.where(ge[R] | (eq & (resid < 0.0)), -1.0, 1.0)
+        rho = o * resid
+        lcol, neg = n + np.arange(nr), ~eq & (rho < 0.0)
+        self.art = np.zeros(ncols, dtype=bool)
+        self.art[lcol[eq]] = self.art[-1] = True
+        self.T = T = np.zeros((cap, ncols))
+        T[2:nr + 2, :n] = A[R] * o[:, None]
+        T[np.arange(2, nr + 2), lcol] = 1.0
+        T[2:nr + 2, -1] = -neg.astype(float)
+        T[0] = T[2:nr + 2][eq].sum(axis=0) - self.art  # artificials cost -1 in phase one
+        T[1, :n] = lp.c
+        self.n, self.nr, self.R, self.o = n, nr, R, o
+        pad = np.zeros(ncols - n)
+        self.x, self.lo = np.concatenate([x0, pad]), np.concatenate([lp.lower, pad])
+        self.hi = np.concatenate([lp.upper, pad + math.inf])
+        self.dirn = np.concatenate([np.where(x0 < lp.upper, 1.0, -1.0 * (x0 > lp.lower)), pad])
+        self.free = np.concatenate([~np.isfinite(lp.lower) & ~np.isfinite(lp.upper), pad > 0])
+        self.nfree = int(np.count_nonzero(self.free))
+        self.order, self.row_of = np.arange(ncols), np.full(ncols, -1)
+        self.row_of[lcol] = np.arange(2, nr + 2)
+        self.basis, self.bo = np.full(cap, -1), np.zeros(cap, dtype=int)
+        self.bv, self.bl, self.bh = np.zeros(cap), np.zeros(cap), np.full(cap, math.inf)
+        self.basis[2:nr + 2] = self.bo[2:nr + 2] = lcol
+        self.bv[2:nr + 2] = rho
+        # implicit rows; the slack of row i is variable vbase + i in Bland's order
+        self.key, self.vp, self.va, self.vg, self.vrows = key, vp, va, vg, vrows
+        self.vh, self.plo, self.phi, self.vbase = lp.b[vrows], lp.lower[vp], lp.upper[vp], ncols
+        self.own = np.full(ncols, -1)
+        self.own[vp] = np.arange(nv)
+        self.tight, self.spare, self.kk = np.zeros(nv, dtype=bool), np.full(nv, -1), vg.copy()
+        self.kmax = float(np.abs(np.concatenate([vg, vg / va])).max(initial=0.0))
+        # the slack c - g key (g != 0) reaches 0 at key c / g
+        self.up = np.where(vg > 0, c / vg, math.inf)
+        self.down = np.where(vg < 0, c / vg, -math.inf)
+        if neg.any():
+            r = int(np.flatnonzero(neg)[np.argmin(rho[neg])])
+            self.bv[2:nr + 2][neg] -= rho[r]
+            self.bv[r + 2], self.x[-1] = 0.0, -rho[r]
+            self.pivot(r + 2, ncols - 1)
 
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        tags: list[str] = []
-        orient: list[float] = []
-        origin: list[tuple] = []  # ("row", i) | ("bound", col, which)
-        A_shift = tr.shift_columns(lp.A)
-        b_shift = lp.b - lp.A @ tr.offsets
-        for i in range(lp.n_rows):
-            t = lp.rel[i]
-            if t == GE:
-                rows.append(-A_shift[i])
-                rhs.append(-b_shift[i])
-                tags.append(LE)
-                orient.append(-1.0)
-            elif t == LE:
-                rows.append(A_shift[i].copy())
-                rhs.append(b_shift[i])
-                tags.append(LE)
-                orient.append(1.0)
-            else:
-                r, v, o = A_shift[i].copy(), b_shift[i], 1.0
-                if v < 0:  # equality rows are flipped so the artificial is +1
-                    r, v, o = -r, -v, -1.0
-                rows.append(r)
-                rhs.append(v)
-                tags.append(EQ)
-                orient.append(o)
-            origin.append(("row", i))
-        for k, ub in enumerate(tr.col_upper):
-            if ub < math.inf:
-                row = np.zeros(ncols)
-                row[k] = 1.0
-                rows.append(row)
-                rhs.append(ub)
-                tags.append(LE)
-                orient.append(1.0)
-                origin.append(("bound", tr.var[k], "upper" if tr.sign[k] > 0 else "lower"))
+    def value(self, j: int) -> float:
+        return self.bv[self.row_of[j]] if self.row_of[j] >= 0 else self.x[j]
 
-        k_rows = len(rows)
-        self.tags = tags
-        self.orient = np.array(orient)
-        self.origin = origin
-        self.n_struct = ncols
+    def refresh(self, i: int):
+        """Recompute the key values at which implicit row ``i`` blocks."""
+        p, a, g = self.vp[i], float(self.va[i]), float(self.vg[i])
+        if self.spare[i] >= 0 or (not self.tight[i] and self.row_of[p] >= 0):
+            self.up[i], self.down[i] = math.inf, -math.inf  # not moved by the key alone
+            return
+        # tight: x_p = (h - g key) / a within its bounds; loose: v = h - a x_p - g key >= 0
+        c, k, lo, hi = ((self.vh[i] / a, g / a, float(self.plo[i]), float(self.phi[i]))
+                        if self.tight[i] else (self.vh[i] - a * self.x[p], g, 0.0, math.inf))
+        self.up[i], self.down[i] = (c - (lo if k > 0 else hi)) / k, (c - (hi if k > 0 else lo)) / k
 
-        le_rows = [i for i, t in enumerate(tags) if t == LE]
-        eq_rows = [i for i, t in enumerate(tags) if t == EQ]
-        self.slack_col = {}
-        self.art_col = {}
-        n_total = ncols + len(le_rows) + len(eq_rows) + 1
-        T = np.zeros((k_rows, n_total))
-        if k_rows:
-            T[:, :ncols] = np.vstack(rows)
-        nxt = ncols
-        for i in le_rows:
-            T[i, nxt] = 1.0
-            self.slack_col[i] = nxt
-            nxt += 1
-        for i in eq_rows:
-            T[i, nxt] = 1.0
-            self.art_col[i] = nxt
-            nxt += 1
-        self.q_col = nxt
-        bv = np.array(rhs, dtype=float)
-        neg_le = [i for i in le_rows if bv[i] < 0]
-        for i in neg_le:
-            T[i, self.q_col] = -1.0
+    # -- basis changes --------------------------------------------------------
 
-        self.T = T
-        self.bv = bv
-        self.basis = np.empty(k_rows, dtype=int)
-        for i in le_rows:
-            self.basis[i] = self.slack_col[i]
-        for i in eq_rows:
-            self.basis[i] = self.art_col[i]
-        self.artificials = set(self.art_col.values())
-        self.artificials.add(self.q_col)
-        self.banned = np.zeros(n_total, dtype=bool)
-        self.neg_le = neg_le
-        self.n_total = n_total
-        self.iterations = 0
-
-        # phase costs over all tableau columns
-        self.c1 = np.zeros(n_total)
-        for c in self.artificials:
-            self.c1[c] = -1.0
-        self.c2 = np.zeros(n_total)
-        self.c2[:ncols] = tr.sign * lp.c[tr.var]
-
-        cb1 = self.c1[self.basis] if k_rows else np.zeros(0)
-        cb2 = self.c2[self.basis] if k_rows else np.zeros(0)
-        self.z1 = self.c1 - (cb1 @ T if k_rows else 0.0)
-        self.z2 = self.c2 - (cb2 @ T if k_rows else 0.0)
-        self.v1 = float(cb1 @ bv) if k_rows else 0.0
-        self.v2 = float(cb2 @ bv) if k_rows else 0.0
-
-    # -- pivoting -----------------------------------------------------------
-
-    def pivot(self, r: int, j: int):
-        T, bv = self.T, self.bv
-        piv = T[r, j]
-        T[r] /= piv
-        bv[r] /= piv
+    def eliminate(self, r: int, j: int):
+        """Row operations making column ``j`` the unit column of row ``r``."""
+        T = self.T[: self.nr + 2]
+        T[r] /= T[r, j]
         col = T[:, j].copy()
         col[r] = 0.0
-        T -= np.outer(col, T[r])
-        bv -= col * bv[r]
+        rows = np.flatnonzero(col)
+        if rows.size * 2 < col.size:
+            T[rows] -= np.outer(col[rows], T[r])
+        else:
+            T -= np.outer(col, T[r])
         T[:, j] = 0.0
         T[r, j] = 1.0
-        for zname, vname in (("z1", "v1"), ("z2", "v2")):
-            z = getattr(self, zname)
-            f = z[j]
-            if f != 0.0:
-                setattr(self, vname, getattr(self, vname) + f * bv[r])
-                z -= f * T[r]
-            z[j] = 0.0
-        leaving = self.basis[r]
-        if leaving in self.artificials:
-            self.banned[leaving] = True
-        self.basis[r] = j
+
+    def pivot(self, r: int, j: int, leaving: bool = True):
+        """Column ``j``, at value ``x[j]``, becomes basic in row ``r``; the
+        column basic there (if ``leaving``) rests at the value ``bv[r]``."""
+        if leaving:
+            out = self.basis[r]
+            self.row_of[out], self.x[out] = -1, self.bv[r]
+            if not self.art[out]:  # an artificial never returns
+                self.release(out)
+        self.eliminate(r, j)
+        self.basis[r], self.row_of[j], self.dirn[j] = j, r, 0.0
+        self.bv[r], self.bl[r] = self.x[j], self.lo[j]
+        self.bh[r], self.bo[r] = self.hi[j], self.order[j]
+        self.nfree, self.free[j] = self.nfree - self.free[j], False
+        for col in (j, out) if leaving else (j,):
+            if self.own[col] >= 0:
+                self.refresh(self.own[col])
         self.iterations += 1
 
-    def pivot_floor(self, v: np.ndarray) -> float:
-        """Smallest magnitude accepted as a pivot among the entries ``v``."""
-        return max(self.pivot_tol, _REL_PIVOT * float(np.max(np.abs(v), initial=0.0)))
+    def release(self, j: int):
+        """Let nonbasic column ``j`` move off the bound it rests on."""
+        self.dirn[j] = 1.0 if self.x[j] < self.hi[j] else -1.0 if self.x[j] > self.lo[j] else 0.0
 
-    def ratio_row(self, j: int) -> int | None:
-        col = self.T[:, j]
-        ok = col > self.pivot_floor(col)
-        if not ok.any():
-            return None
-        ratios = np.full(col.shape, math.inf)
-        ratios[ok] = self.bv[ok] / col[ok]
-        best = ratios.min()
-        cand = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        if cand.size == 1:
-            return int(cand[0])
-        return int(cand[np.argmin(self.basis[cand])])
-
-    def run_phase(self, z: np.ndarray, eligible: np.ndarray, dual_tol: float,
-                  max_iter: int) -> str:
-        """Pivot until no eligible column improves; return a stop reason."""
-        bland = False
-        stall = 0
-        vname = "v1" if z is self.z1 else "v2"
-        last = getattr(self, vname)
-        while True:
-            zz = np.where(eligible & ~self.banned, z, -math.inf)
-            if bland:
-                idx = np.nonzero(zz > dual_tol)[0]
-                if idx.size == 0:
-                    return "optimal"
-                j = int(idx[0])
+    def switch(self, i: int, tight: bool, rest: float = 0.0):
+        """Make implicit row ``i`` tight (``v_i`` takes the shared column,
+        resting at zero) or loose (``x_p`` takes it back, resting at ``rest``),
+        substituting ``x_p = (h - g key - v_i) / a`` in every row of ``T``.
+        If the column is basic in row ``r`` of ``T``: tightening leaves ``r``
+        without a basic column; loosening makes ``x_p`` basic there."""
+        p, a, g = self.vp[i], self.va[i], self.vg[i]
+        T, r = self.T[: self.nr + 2], self.row_of[p]
+        if r >= 0 and not tight:
+            self.bv[r] = (self.vh[i] - g * self.value(self.key) - self.bv[r]) / a
+        tau = T[:, p].copy()
+        T[:, self.key] -= (g / a if tight else g) * tau
+        T[:, p] = tau / -a if tight else -a * tau
+        if self.row_of[self.key] >= 0:
+            self.eliminate(self.row_of[self.key], self.key)
+        self.tight[i], self.kk[i] = tight, g / a if tight else g
+        if tight:
+            self.x[p], self.lo[p], self.hi[p], self.order[p] = 0.0, 0.0, math.inf, self.vbase + i
+            self.row_of[p] = -1
+            self.release(p)
+            self.nfree, self.free[p] = self.nfree - self.free[p], False
+        else:
+            self.lo[p], self.hi[p], self.order[p] = self.plo[i], self.phi[i], p
+            if r >= 0:
+                self.T[r] /= self.T[r, p]
+                self.bl[r], self.bh[r], self.bo[r] = self.plo[i], self.phi[i], p
             else:
-                j = int(np.argmax(zz))
-                if zz[j] <= dual_tol:
-                    return "optimal"
-            r = self.ratio_row(j)
-            if r is None:
-                self.unbounded_col = j
+                self.x[p] = rest
+                self.release(p)
+        self.refresh(i)
+
+    def make_explicit(self, i: int) -> int:
+        """Move implicit row ``i`` into ``T`` for good, its slack in a new
+        column and its representative basic; returns its row."""
+        p, a, g, kv = self.vp[i], self.va[i], self.vg[i], self.value(self.key)
+        value = ((self.vh[i] - g * kv - self.x[p]) / a if self.tight[i]
+                 else self.vh[i] - a * self.value(p) - g * kv)
+        r, s = self.nr + 2, self.T.shape[1]
+        grow = 4 * (r == self.T.shape[0])
+        self.T = np.pad(self.T, ((0, grow), (0, 1)))
+        for name, v, count in (
+                ("basis", -1, grow), ("bo", 0, grow), ("bv", 0.0, grow), ("bl", 0.0, grow),
+                ("bh", math.inf, grow), ("x", 0.0, 1), ("lo", 0.0, 1), ("hi", math.inf, 1),
+                ("dirn", 0.0, 1), ("free", False, 1), ("order", self.vbase + i, 1),
+                ("row_of", -1, 1), ("art", False, 1), ("own", -1, 1)):
+            arr = getattr(self, name)
+            setattr(self, name, np.concatenate([arr, np.full(count, v, dtype=arr.dtype)]))
+        rep = s
+        if self.tight[i]:  # v_i moves to the new column, x_p takes its own back
+            self.x[s], self.T[:, s], self.T[:, p] = self.x[p], self.T[:, p], 0.0
+            self.release(s)
+            self.lo[p], self.hi[p], self.order[p] = self.plo[i], self.phi[i], p
+            self.dirn[p], rep = 0.0, p
+        row = np.zeros(s + 1)
+        row[p], row[self.key], row[s] = a, g, 1.0
+        for j in (p, self.key):
+            if self.row_of[j] >= 0:
+                row -= row[j] * self.T[self.row_of[j]]
+        self.T[r] = row / row[rep]
+        self.basis[r], self.row_of[rep], self.nr, self.spare[i] = rep, r, self.nr + 1, s
+        self.bv[r], self.bl[r] = value, self.lo[rep]
+        self.bh[r], self.bo[r] = self.hi[rep], self.order[rep]
+        self.refresh(i)
+        return r
+
+    # -- one iteration ----------------------------------------------------------
+
+    def ratio(self, j: int, delta: float):
+        """Step for column ``j`` moving in direction ``delta``, as ``(step,
+        block, rb, rk)``: ``block`` is ``(kind, where, bound)`` for ``j``'s own
+        bound ("flip"), row ``where`` of ``T`` ("row") or implicit row
+        ``where`` ("imp"), or None; ``rb``, ``rk`` are the rates of the rows'
+        basic columns and of the key.  Ties go to the first in Bland's order."""
+        nr, key = self.nr, self.key
+        rb = self.T[2:nr + 2, j] * -delta
+        rk, kv, mine = 0.0, 0.0, -1
+        # (order, rate, value, lo, hi, kind, where) of j's own bound and of the
+        # implicit rows that move with more than the key
+        single = [(self.order[j], delta, self.x[j], self.lo[j], self.hi[j], "flip", j)]
+        if self.vp.size:
+            rk = delta if key == j else rb[self.row_of[key] - 2] if self.row_of[key] >= 0 else 0.0
+            kv = self.value(key)
+            oi = self.own[self.basis[2:nr + 2]]
+            for t in np.flatnonzero(oi >= 0):  # loose, x_p basic: v = h - a x_p - g key
+                if self.spare[h := oi[t]] < 0:
+                    a, g = self.va[h], self.vg[h]
+                    single.append((self.vbase + h, -(a * rb[t] + g * rk), self.vh[h]
+                                   - a * self.bv[t + 2] - g * kv, 0.0, math.inf, "imp", h))
+            i = self.own[j]
+            if i >= 0 and self.spare[i] < 0:  # the row sharing j's column
+                mine, a, g, h = i, self.va[i], self.vg[i], self.vh[i]
+                single.append((self.vp[i], -(g * rk + delta) / a, (h - g * kv - self.x[j]) / a,
+                               self.plo[i], self.phi[i], "imp", i) if self.tight[i] else
+                              (self.vbase + i, -(a * delta + g * rk), h - a * self.x[j] - g * kv,
+                               0.0, math.inf, "imp", i))
+        mag = np.abs(rb)
+        floor = max(self.pivot_tol, _REL_PIVOT * max(
+            [float(mag.max(initial=0.0)), self.kmax * abs(rk)] + [abs(c[1]) for c in single[1:]]))
+        lim = np.where(rb > 0.0, self.bh[2:nr + 2], self.bl[2:nr + 2])
+        room = np.full(nr, math.inf)
+        np.divide(lim - self.bv[2:nr + 2], rb, out=room, where=mag > floor)
+        best, picks = float(room.min(initial=math.inf)), []
+        for o, r, v, low, high, kind, where in single:
+            if kind == "flip" or abs(r) > floor:
+                edge = high if r > 0 else low
+                if (edge - v) / r < math.inf:
+                    picks.append((o, (edge - v) / r, (kind, where, edge)))
+                    best = min(best, (edge - v) / r)
+        drive = None
+        if rk != 0.0:  # rows moved by the key alone stop at fixed key values
+            drive = np.where(np.abs(self.kk) > floor / abs(rk), self.up if rk > 0 else self.down,
+                             math.inf * rk)
+            if mine >= 0:
+                drive[mine] = math.inf * rk
+            best = min(best, (float(drive.min() if rk > 0 else drive.max()) - kv) / rk)
+        if best == math.inf:
+            return best, None, rb, rk
+        tie = max(best, 0.0) + 1e-12 * (1.0 + abs(best))
+        picks = [t for t in picks if t[1] <= tie]
+        cand = np.flatnonzero(room <= tie)
+        if cand.size:
+            c = int(cand[np.argmin(self.bo[cand + 2])])
+            picks.append((self.bo[c + 2], float(room[c]), ("row", c + 2, lim[c])))
+        if drive is not None:
+            cand = np.flatnonzero(drive <= kv + tie * rk if rk > 0 else drive >= kv + tie * rk)
+            if cand.size:
+                order = np.where(self.tight[cand], self.vp[cand], self.vbase + cand)
+                k = int(np.argmin(order))
+                c = int(cand[k])
+                low, high = (self.plo[c], self.phi[c]) if self.tight[c] else (0.0, math.inf)
+                picks.append((order[k], (drive[c] - kv) / rk,
+                              ("imp", c, low if self.kk[c] * rk > 0 else high)))
+        _, step, block = min(picks, key=lambda t: t[0])
+        return max(step, 0.0), block, rb, rk
+
+    def run_phase(self, phase: int, dual_tol: float, max_iter: int) -> str:
+        """Iterate on the reduced costs in row ``phase`` of ``T`` until no
+        column improves; return a stop reason."""
+        bland, stall, value = False, 0, 0.0
+        while True:
+            z = self.T[phase]
+            gain = z * self.dirn
+            if self.nfree:
+                gain[self.free] = np.abs(z[self.free])
+            idx = np.flatnonzero(gain > dual_tol) if bland else [int(np.argmax(gain))]
+            if not len(idx) or gain[idx[0]] <= dual_tol:
+                return "optimal"
+            j = int(idx[np.argmin(self.order[idx])]) if bland else idx[0]
+            delta = 1.0 if z[j] > 0.0 else -1.0
+            step, block, rb, rk = self.ratio(j, delta)
+            if block is None:
+                self.unbounded = (j, delta, rb, rk)
                 return "unbounded"
-            self.pivot(r, j)
+            gained = step * gain[j]
+            self.x[j] += delta * step
+            self.bv[2:self.nr + 2] += step * rb
+            i, (kind, where, hit) = self.own[j], block
+            mine = i >= 0 and self.spare[i] < 0
+            if kind == "flip":
+                self.x[j] = hit
+                self.release(j)
+                if i >= 0:
+                    self.refresh(i)
+                self.iterations += 1
+            elif kind == "imp" and mine and where == i:  # the two sharing j's column swap
+                self.switch(i, not self.tight[i], hit)
+                self.iterations += 1
+            elif kind == "row" or not (self.tight[where] or self.row_of[self.vp[where]] < 0):
+                r = where if kind == "row" else self.row_of[self.vp[where]]
+                if kind == "row":
+                    self.bv[r] = hit
+                else:  # v reaches zero while x_p is basic in row r: x_p leaves T
+                    self.switch(where, True)
+                self.pivot(r, j, leaving=kind == "row")
+                if mine and self.tight[i]:  # v entered T: x_p takes its row
+                    self.switch(i, False)
+            else:  # the key alone is left to represent the blocked row
+                if mine and self.tight[i]:
+                    self.make_explicit(i)
+                    j = self.spare[i]
+                r = self.make_explicit(where)
+                self.bv[r] = hit
+                self.pivot(r, j)
             if self.iterations > max_iter:
                 return "iteration_limit"
-            now = getattr(self, vname)
-            if now <= last + 1e-12 * (1.0 + abs(last)):
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-            last = now
+            stall = stall + 1 if gained <= 1e-12 * (1.0 + abs(value)) else 0
+            bland, value = bland or stall >= _STALL_LIMIT, value + gained
+
+    # -- answers ----------------------------------------------------------------
+
+    def values(self) -> np.ndarray:
+        """Value of every column's variable; the shared column of a tight
+        implicit row reads ``x_p``."""
+        x, t = self.x.copy(), self.tight & (self.spare < 0)
+        x[self.basis[2:self.nr + 2]], p = self.bv[2:self.nr + 2], self.vp[t]
+        x[p] = (self.vh[t] - self.vg[t] * self.value(self.key) - x[p]) / self.va[t]
+        return x
+
+    def duals(self, phase: int, lp: LinearProgram) -> np.ndarray:
+        """Duals of the program's rows, read off their logical columns."""
+        z, y, lcol = self.T[phase], np.zeros(lp.n_rows), self.n + np.arange(self.R.size)
+        y[self.R] = self.o * ((-1.0 * self.art[lcol] if phase == 0 else 0.0) - z[lcol])
+        vcol = np.where(self.spare >= 0, self.spare, self.vp)
+        y[self.vrows] = np.where(self.tight | (self.spare >= 0), -z[vcol], 0.0)
+        return y
+
+    def ray(self) -> np.ndarray:
+        """Improving direction of the structural variables, unbounded case."""
+        j, delta, rb, rk = self.unbounded
+        d = np.zeros(self.x.size)
+        d[j] = delta
+        d[self.basis[2:self.nr + 2]] = rb
+        t = self.tight & (self.spare < 0)
+        d[self.vp[t]] = -self.kk[t] * rk
+        i = self.own[j]
+        if i >= 0 and self.spare[i] < 0 and self.tight[i]:
+            d[j] = -(self.vg[i] * rk + delta) / self.va[i]
+        return d[: self.n]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +550,8 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_FEAS_TOL,
 
     All certificates are re-verified on the original data before being
     returned; irrecoverable loss of precision yields a
-    ``NUMERICAL_FAILURE`` outcome instead of an unverified answer.
+    ``NUMERICAL_FAILURE`` outcome instead of an unverified answer.  A
+    program too large for the kernel raises ``NumericalFailureError``.
     """
     out = _solve_once(lp, tol, pivot_tol, max_iter)
     if out.status is LpStatus.NUMERICAL_FAILURE and "iteration" not in out.message:
@@ -425,166 +576,53 @@ def feasibility(A, rel, b, lower, upper, tol: float = DEFAULT_FEAS_TOL) -> LpOut
 
 def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
                 max_iter: int | None) -> LpOutcome:
-    tb = _Tableau(lp, pivot_tol)
-    if max_iter is None:
-        max_iter = 2000 + 20 * (len(tb.tags) + tb.n_total)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(lp.b))) if lp.n_rows else 0.0,
-        float(np.max(np.abs(tb.bv))) if tb.bv.size else 0.0,
-    )
+    tb, scale = _Tableau(lp, pivot_tol), _data_scale(lp)
+    max_iter = 2000 + 20 * (tb.nr + tb.x.size) if max_iter is None else max_iter
 
-    eligible = np.ones(tb.n_total, dtype=bool)
-    need_phase1 = bool(tb.art_col) or bool(tb.neg_le)
-    if need_phase1:
-        if tb.neg_le:
-            r = min(tb.neg_le, key=lambda i: tb.bv[i])
-            tb.pivot(r, tb.q_col)
-        stop = tb.run_phase(tb.z1, eligible, tol, max_iter)
-        if stop == "iteration_limit":
-            return LpOutcome(LpStatus.NUMERICAL_FAILURE,
-                             message="iteration limit reached in phase one",
-                             iterations=tb.iterations)
-        if stop == "unbounded":
-            return LpOutcome(LpStatus.NUMERICAL_FAILURE,
-                             message="phase one reported an unbounded direction",
-                             iterations=tb.iterations)
-        if tb.v1 < -tol * scale:
-            return _extract_infeasible(lp, tb, tol, scale)
-        _drive_out_artificials(tb)
+    def failure(message: str) -> LpOutcome:
+        return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=message, iterations=tb.iterations)
 
-    for c in tb.artificials:
-        eligible[c] = False
-    stop = tb.run_phase(tb.z2, eligible, tol, max_iter)
+    if np.any(tb.row_of[tb.art] >= 0):
+        stop = tb.run_phase(0, tol, max_iter)
+        if stop != "optimal":
+            return failure("iteration limit reached in phase one" if stop == "iteration_limit"
+                           else "phase one reported an unbounded direction")
+        if float(np.sum(tb.values()[tb.art])) > tol * scale:
+            y = tb.duals(0, lp)
+            # phase one's reduced costs of the structural variables (x_p of a
+            # tight row is basic) are -A'y: weights on the bounds they rest on
+            z = tb.T[0, : tb.n].copy()
+            z[tb.vp[tb.tight & (tb.spare < 0)]] = 0.0
+            wL = np.where(np.isfinite(lp.lower), np.maximum(-z, 0.0), 0.0)
+            wU = np.where(np.isfinite(lp.upper), np.maximum(z, 0.0), 0.0)
+            kappa = float(np.max(np.abs(np.concatenate([y, wL, wU])), initial=0.0))
+            if kappa <= 0.0:
+                return failure("empty infeasibility certificate")
+            cert = FarkasCertificate(y / kappa, wL / kappa, wU / kappa)
+            err = _check_farkas(lp, cert, tol, scale)
+            return failure(err) if err else LpOutcome(LpStatus.INFEASIBLE, farkas=cert,
+                                                      iterations=tb.iterations)
+    tb.hi[tb.art] = tb.bh[tb.row_of[tb.art & (tb.row_of >= 0)]] = 0.0  # artificials stay at 0
+    stop = tb.run_phase(1, tol, max_iter)
     if stop == "iteration_limit":
-        return LpOutcome(LpStatus.NUMERICAL_FAILURE,
-                         message="iteration limit reached in phase two",
-                         iterations=tb.iterations)
+        return failure("iteration limit reached in phase two")
+    values = tb.values()
+    x = values[: tb.n]
     if stop == "unbounded":
-        return _extract_unbounded(lp, tb, tol, scale)
-    return _extract_optimal(lp, tb, tol, scale)
-
-
-def _drive_out_artificials(tb: _Tableau):
-    for r in range(len(tb.tags)):
-        if tb.basis[r] in tb.artificials:
-            row = tb.T[r, : tb.n_struct + len(tb.slack_col)]
-            cand = np.nonzero(np.abs(row) > tb.pivot_floor(row))[0]
-            if cand.size:
-                tb.pivot(r, int(cand[0]))
-            # else: redundant row, the artificial stays basic at level zero
-
-
-def _row_duals(lp: LinearProgram, tb: _Tableau, z: np.ndarray,
-               art_cost: float) -> np.ndarray:
-    """Duals of the tableau rows read off the unit columns of ``z``."""
-    k = len(tb.tags)
-    y = np.zeros(k)
-    for i in range(k):
-        if tb.tags[i] == LE:
-            y[i] = -z[tb.slack_col[i]]
-        else:
-            y[i] = art_cost - z[tb.art_col[i]]
-    return y
-
-
-def _split_duals(lp: LinearProgram, tb: _Tableau, yhat: np.ndarray):
-    """Map tableau-row duals to original rows and bound multipliers."""
-    y = np.zeros(lp.n_rows)
-    wL = np.zeros(lp.n_vars)
-    wU = np.zeros(lp.n_vars)
-    for i, org in enumerate(tb.origin):
-        if org[0] == "row":
-            y[org[1]] = tb.orient[i] * yhat[i]
-        else:
-            _, j, which = org
-            val = max(yhat[i], 0.0)
-            if which == "upper":
-                wU[j] += val
-            else:
-                wL[j] += val
-    return y, wL, wU
-
-
-def _extract_optimal(lp: LinearProgram, tb: _Tableau, tol: float, scale: float) -> LpOutcome:
+        ray = tb.ray()
+        ray = ray / max(float(np.max(np.abs(ray))), 1e-300)
+        err = _check_unbounded(lp, x, ray, tol, scale)
+        return failure(err) if err else LpOutcome(LpStatus.UNBOUNDED, x=x, ray=ray,
+                                                  iterations=tb.iterations)
     # a basic artificial at a genuinely nonzero level means phase one lied
-    for r in range(len(tb.tags)):
-        if tb.basis[r] in tb.artificials and abs(tb.bv[r]) > tol * scale:
-            return LpOutcome(LpStatus.NUMERICAL_FAILURE,
-                             message="artificial variable stuck at a nonzero level",
-                             iterations=tb.iterations)
-    xs = np.zeros(tb.n_total)
-    for r, col in enumerate(tb.basis):
-        xs[col] = tb.bv[r]
-    x = tb.tr.to_original(xs[: tb.n_struct])
+    if np.any(np.abs(values[tb.art]) > tol * scale):
+        return failure("artificial variable stuck at a nonzero level")
     value = float(lp.c @ x)
-    yhat = _row_duals(lp, tb, tb.z2, 0.0)
-    y, wL, wU = _split_duals(lp, tb, yhat)
+    y = tb.duals(1, lp)
     reduced = lp.c - lp.A.T @ y
     err = _check_optimal(lp, x, y, reduced, value, tol, scale)
-    if err:
-        return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=err,
-                         iterations=tb.iterations)
-    return LpOutcome(LpStatus.OPTIMAL, x=x, value=value, y=y,
-                     reduced_costs=reduced, iterations=tb.iterations)
-
-
-def _extract_unbounded(lp: LinearProgram, tb: _Tableau, tol: float, scale: float) -> LpOutcome:
-    # the direction raises the entering column by one and moves every basic
-    # variable by minus its tableau column entry
-    j = tb.unbounded_col
-    d = np.zeros(tb.n_struct)
-    if j < tb.n_struct:
-        d[j] = 1.0
-    for r, col in enumerate(tb.basis):
-        if col < tb.n_struct:
-            d[col] = -tb.T[r, j]
-    ray = tb.tr.ray_to_original(d)
-    xs = np.zeros(tb.n_total)
-    for r, col in enumerate(tb.basis):
-        xs[col] = tb.bv[r]
-    x = tb.tr.to_original(xs[: tb.n_struct])
-    nrm = float(np.max(np.abs(ray)))
-    if nrm > 0:
-        ray = ray / nrm
-    err = _check_unbounded(lp, x, ray, tol, scale)
-    if err:
-        return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=err,
-                         iterations=tb.iterations)
-    return LpOutcome(LpStatus.UNBOUNDED, x=x, ray=ray,
-                     iterations=tb.iterations)
-
-
-def _extract_infeasible(lp: LinearProgram, tb: _Tableau, tol: float, scale: float) -> LpOutcome:
-    yhat = _row_duals(lp, tb, tb.z1, -1.0)
-    y, wL, wU = _split_duals(lp, tb, yhat)
-    # nonnegative residuals of the shifted variables fold into bound weights
-    for k in range(tb.n_struct):
-        val = -tb.z1[k]
-        if val <= 0.0:
-            continue
-        j = tb.tr.var[k]
-        if tb.tr.free[j]:
-            continue  # split columns of a free variable carry no bound
-        if tb.tr.sign[k] > 0:
-            wL[j] += val
-        else:
-            wU[j] += val
-    kappa = max(
-        float(np.max(np.abs(y))) if y.size else 0.0,
-        float(np.max(wL)) if wL.size else 0.0,
-        float(np.max(wU)) if wU.size else 0.0,
-    )
-    if kappa <= 0.0:
-        return LpOutcome(LpStatus.NUMERICAL_FAILURE,
-                         message="empty infeasibility certificate",
-                         iterations=tb.iterations)
-    cert = FarkasCertificate(y / kappa, wL / kappa, wU / kappa)
-    err = _check_farkas(lp, cert, tol, scale)
-    if err:
-        return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=err,
-                         iterations=tb.iterations)
-    return LpOutcome(LpStatus.INFEASIBLE, farkas=cert, iterations=tb.iterations)
+    return failure(err) if err else LpOutcome(LpStatus.OPTIMAL, x=x, value=value, y=y,
+                                              reduced_costs=reduced, iterations=tb.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -592,114 +630,75 @@ def _extract_infeasible(lp: LinearProgram, tb: _Tableau, tol: float, scale: floa
 
 
 def _data_scale(lp: LinearProgram) -> float:
-    vals = [1.0]
-    if lp.A.size:
-        vals.append(float(np.max(np.abs(lp.A))))
-    if lp.b.size:
-        vals.append(float(np.max(np.abs(lp.b))))
-    if lp.c.size:
-        vals.append(float(np.max(np.abs(lp.c))))
-    return max(vals)
+    """Largest coefficient, right-hand side or objective entry (at least 1):
+    the scale of every acceptance threshold.  Variable bounds take no part,
+    so a large bound loosens no check."""
+    return max([1.0] + [max(float(v.max()), -float(v.min()))
+                        for v in (lp.A, lp.b, lp.c) if v.size])
 
 
 def _primal_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    worst = 0.0
-    if lp.n_rows:
-        vals = lp.A @ x
-        for i, t in enumerate(lp.rel):
-            if t == LE:
-                worst = max(worst, vals[i] - lp.b[i])
-            elif t == GE:
-                worst = max(worst, lp.b[i] - vals[i])
-            else:
-                worst = max(worst, abs(vals[i] - lp.b[i]))
-    lo_fin = np.isfinite(lp.lower)
-    hi_fin = np.isfinite(lp.upper)
-    if lo_fin.any():
-        worst = max(worst, float(np.max(lp.lower[lo_fin] - x[lo_fin])))
-    if hi_fin.any():
-        worst = max(worst, float(np.max(x[hi_fin] - lp.upper[hi_fin])))
-    return worst
+    le, ge = _row_kinds(lp)
+    d = lp.A @ x - lp.b
+    return float(np.max(np.concatenate([
+        [0.0], d[le], -d[ge], np.abs(d[~(le | ge)]),
+        (lp.lower - x)[np.isfinite(lp.lower)], (x - lp.upper)[np.isfinite(lp.upper)]])))
+
+
+def _first(checks) -> str:
+    """Message of the first failed ``(ok, message)`` check, or ""."""
+    return next((message for ok, message in checks if not ok), "")
 
 
 def _check_optimal(lp: LinearProgram, x, y, reduced, value, tol, scale) -> str:
-    vt = 50.0 * tol * max(scale, _data_scale(lp))
-    if _primal_violation(lp, x) > vt:
-        return "optimal point violates a constraint beyond tolerance"
-    for i, t in enumerate(lp.rel):
-        if t == LE and y[i] < -vt:
-            return "dual sign violated on a <= row"
-        if t == GE and y[i] > vt:
-            return "dual sign violated on a >= row"
-    wL = np.zeros(lp.n_vars)
-    wU = np.zeros(lp.n_vars)
+    vt = 50.0 * tol * scale
+    le, ge = _row_kinds(lp)
+    r = reduced
     band = vt * np.maximum(1.0, np.abs(x))
-    for j in range(lp.n_vars):
-        at_lo = np.isfinite(lp.lower[j]) and x[j] - lp.lower[j] <= band[j]
-        at_hi = np.isfinite(lp.upper[j]) and lp.upper[j] - x[j] <= band[j]
-        r = reduced[j]
-        if at_lo and at_hi:
-            wL[j], wU[j] = max(-r, 0.0), max(r, 0.0)
-        elif at_lo:
-            if r > vt:
-                return "reduced cost has the wrong sign at a lower bound"
-            wL[j] = max(-r, 0.0)
-        elif at_hi:
-            if r < -vt:
-                return "reduced cost has the wrong sign at an upper bound"
-            wU[j] = max(r, 0.0)
-        else:
-            if abs(r) > vt:
-                return "nonzero reduced cost on an interior variable"
-    dual_value = float(y @ lp.b) if lp.n_rows else 0.0
-    lo_fin = np.isfinite(lp.lower)
-    hi_fin = np.isfinite(lp.upper)
-    dual_value -= float(wL[lo_fin] @ lp.lower[lo_fin])
-    dual_value += float(wU[hi_fin] @ lp.upper[hi_fin])
-    if abs(dual_value - value) > vt * (1.0 + abs(value)):
-        return "primal and dual objective values disagree"
-    return ""
+    at_lo = np.isfinite(lp.lower) & (x - lp.lower <= band)
+    at_hi = np.isfinite(lp.upper) & (lp.upper - x <= band)
+    wL = np.where(at_lo, np.maximum(-r, 0.0), 0.0)
+    wU = np.where(at_hi, np.maximum(r, 0.0), 0.0)
+    dual_value = (float(y @ lp.b) - float(wL @ np.where(at_lo, lp.lower, 0.0))
+                  + float(wU @ np.where(at_hi, lp.upper, 0.0)))
+    return _first([
+        (_primal_violation(lp, x) <= vt, "optimal point violates a constraint beyond tolerance"),
+        (np.all(y[le] >= -vt), "dual sign violated on a <= row"),
+        (np.all(y[ge] <= vt), "dual sign violated on a >= row"),
+        (np.all(r[at_lo & ~at_hi] <= vt), "reduced cost has the wrong sign at a lower bound"),
+        (np.all(r[at_hi & ~at_lo] >= -vt), "reduced cost has the wrong sign at an upper bound"),
+        (np.all(np.abs(r[~at_lo & ~at_hi]) <= vt), "nonzero reduced cost on an interior variable"),
+        (abs(dual_value - value) <= vt * (1.0 + abs(value)),
+         "primal and dual objective values disagree")])
 
 
 def _check_unbounded(lp: LinearProgram, x, ray, tol, scale) -> str:
-    vt = 50.0 * tol * max(scale, _data_scale(lp))
-    if _primal_violation(lp, x) > vt:
-        return "unbounded case: the feasible point is not feasible"
-    if lp.n_rows:
-        vals = lp.A @ ray
-        for i, t in enumerate(lp.rel):
-            if t == LE and vals[i] > vt:
-                return "ray leaves a <= row"
-            if t == GE and vals[i] < -vt:
-                return "ray leaves a >= row"
-            if t == EQ and abs(vals[i]) > vt:
-                return "ray leaves an equality row"
-    for j in range(lp.n_vars):
-        if np.isfinite(lp.lower[j]) and ray[j] < -vt:
-            return "ray leaves a lower bound"
-        if np.isfinite(lp.upper[j]) and ray[j] > vt:
-            return "ray leaves an upper bound"
-    if float(lp.c @ ray) <= tol:
-        return "ray does not improve the objective"
-    return ""
+    vt = 50.0 * tol * scale
+    le, ge = _row_kinds(lp)
+    vals = lp.A @ ray
+    return _first([
+        (_primal_violation(lp, x) <= vt, "unbounded case: the feasible point is not feasible"),
+        (np.all(vals[le] <= vt), "ray leaves a <= row"),
+        (np.all(vals[ge] >= -vt), "ray leaves a >= row"),
+        (np.all(np.abs(vals[~(le | ge)]) <= vt), "ray leaves an equality row"),
+        (np.all(ray[np.isfinite(lp.lower)] >= -vt), "ray leaves a lower bound"),
+        (np.all(ray[np.isfinite(lp.upper)] <= vt), "ray leaves an upper bound"),
+        (float(lp.c @ ray) > tol, "ray does not improve the objective")])
 
 
 def _check_farkas(lp: LinearProgram, cert: FarkasCertificate, tol, scale) -> str:
-    vt = 50.0 * tol * max(scale, _data_scale(lp))
-    for i, t in enumerate(lp.rel):
-        if t == LE and cert.row_mult[i] < -vt:
-            return "Farkas multiplier negative on a <= row"
-        if t == GE and cert.row_mult[i] > vt:
-            return "Farkas multiplier positive on a >= row"
-    if np.any(cert.lower_mult < -vt) or np.any(cert.upper_mult < -vt):
-        return "negative bound multiplier in Farkas certificate"
-    if np.any(cert.lower_mult[~np.isfinite(lp.lower)] > vt):
-        return "Farkas certificate uses an infinite lower bound"
-    if np.any(cert.upper_mult[~np.isfinite(lp.upper)] > vt):
-        return "Farkas certificate uses an infinite upper bound"
+    vt = 50.0 * tol * scale
+    le, ge = _row_kinds(lp)
     res = cert.combination_residual(lp)
-    if res.size and float(np.max(np.abs(res))) > vt:
-        return "Farkas combination does not cancel the variables"
-    if cert.combined_rhs(lp) > -tol:
-        return "Farkas combined right-hand side is not negative"
-    return ""
+    return _first([
+        (np.all(cert.row_mult[le] >= -vt), "Farkas multiplier negative on a <= row"),
+        (np.all(cert.row_mult[ge] <= vt), "Farkas multiplier positive on a >= row"),
+        (np.all(cert.lower_mult >= -vt) and np.all(cert.upper_mult >= -vt),
+         "negative bound multiplier in Farkas certificate"),
+        (np.all(cert.lower_mult[~np.isfinite(lp.lower)] <= vt),
+         "Farkas certificate uses an infinite lower bound"),
+        (np.all(cert.upper_mult[~np.isfinite(lp.upper)] <= vt),
+         "Farkas certificate uses an infinite upper bound"),
+        (float(np.max(np.abs(res), initial=0.0)) <= vt,
+         "Farkas combination does not cancel the variables"),
+        (cert.combined_rhs(lp) < -tol, "Farkas combined right-hand side is not negative")])

@@ -287,11 +287,11 @@ def _criterion_5(tol):
         n_converted += sum(1 for v in sys.provenance.values() if v != "kept")
 
         pts = rng.integers(-6, 7, size=(200, m)).astype(float) / 2.0
-        for row in pts:
-            orig = (all(pairing(space, g, row) <= a + tol
-                        for g, a in prob.ineq)
-                    and all(abs(pairing(space, h, row) - b) <= tol
-                            for h, b in prob.eq))
+        # membership in the original rows, all points at once (the data are
+        # small integers and halves, so every pairing is exact)
+        inside = (np.all(pts @ prob.G_w.T <= prob.a + tol, axis=1)
+                  & np.all(np.abs(pts @ prob.H_w.T - prob.b) <= tol, axis=1))
+        for row, orig in zip(pts, inside):
             _require(orig == sys.is_member(row, tol),
                      f"case {case}: original and rewritten membership differ")
         if sys.eq:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from slaterkit import log_counterexample_model, problem_to_dict, canonical_json
+import slaterkit.lp
 from slaterkit import cli
 from slaterkit.cli import main
 
@@ -289,6 +290,30 @@ class TestSelftest:
         assert main(["selftest", "--criteria", "1"]) == 2
         monkeypatch.setenv("SLATERKIT_TOL", "10")
         assert main(["selftest", "--criteria", "1", "--tol", "1e-9"]) == 0
+
+
+class TestOversizedProgram:
+    """An LP too large for the dense kernel is a numerical failure, exit 2."""
+
+    def test_refused_with_one_line(self, open_box, capsys, monkeypatch):
+        monkeypatch.setattr(slaterkit.lp, "_MAX_TABLEAU_BYTES", 64)
+        prob, _ = open_box
+        assert main(["find-slater", "--problem", prob]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "too large" in err
+
+
+class TestHelp:
+    """``--help`` prints the help to stdout and returns 0 instead of exiting."""
+
+    @pytest.mark.parametrize("argv, marker", [
+        (["find-slater", "--help"], "--problem"),
+        (["-h"], "find-slater"),
+    ])
+    def test_help_returns_zero(self, argv, marker, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: slaterkit") and marker in out
 
 
 class TestOutputPaths:

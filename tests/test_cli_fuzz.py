@@ -6,8 +6,9 @@ replaced by one of the wrong kind (null, bool, string, NaN, Infinity, an
 integer beyond the float range, nested arrays or objects), a key or an
 array entry is deleted (missing keys, length mismatches), the text is cut
 short, or the file is not written at all.  Output paths may point into a
-missing directory or at a directory.  Whatever the input, ``main`` returns
-one of the documented exit codes 0-4.
+missing directory or at a directory, and ``-h``/``--help`` may appear among
+the arguments.  Whatever the input, ``main`` returns one of the documented
+exit codes 0-4.
 """
 
 import contextlib
@@ -97,6 +98,7 @@ def _case(draw):
         "out": draw(st.sampled_from([None, "r.json", "absent/r.json", "."])),
         "out_problem": draw(st.sampled_from([None, "p.json", "absent/p.json"])),
         "tol": draw(st.sampled_from([None, "1e-9", "1e-3", "0", "nan", "x"])),
+        "help": draw(st.sampled_from([None] * 8 + ["-h", "--help"])),
     }
 
 
@@ -122,6 +124,8 @@ def test_main_returns_an_exit_code(case):
             argv += ["--out", str(tmp / case["out"])]
         if case["tol"] is not None:
             argv += ["--tol", case["tol"]]
+        if case["help"] is not None:
+            argv.insert(len(argv) // 2, case["help"])
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)

@@ -1,11 +1,13 @@
 """Dense LP kernel: solutions, duals, Farkas rays, and oracle agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from slaterkit import LinearProgram, LpStatus, feasibility, solve
+import slaterkit.lp
+from slaterkit import LinearProgram, LpStatus, NumericalFailureError, feasibility, solve
 from slaterkit.lp import LE, GE, EQ
 from slaterkit import oracles
 
@@ -123,3 +125,144 @@ class TestOracleAgreement:
                 assert out.farkas is not None
                 assert np.max(np.abs(out.farkas.combination_residual(lp))) <= 1e-7
                 assert out.farkas.combined_rhs(lp) < 0.0
+
+
+def _oracle(lp):
+    """Exact status and value; a free column is split in two for the
+    oracle, which needs a finite bound on every variable."""
+    free = ~np.isfinite(lp.lower) & ~np.isfinite(lp.upper)
+    c, A = lp.c, lp.A
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    if free.any():
+        c = np.concatenate([c, -c[free]])
+        A = np.hstack([A, -A[:, free]])
+        lower[free] = 0.0
+        lower = np.concatenate([lower, np.zeros(free.sum())])
+        upper = np.concatenate([upper, np.full(free.sum(), math.inf)])
+    return oracles.lp_oracle_exact(
+        [int(v) for v in c], [[int(v) for v in row] for row in A], list(lp.rel),
+        [int(v) for v in lp.b],
+        [None if not math.isfinite(v) else int(v) for v in lower],
+        [None if not math.isfinite(v) else int(v) for v in upper])
+
+
+def _verify(lp, out, tol=1e-9):
+    """Re-check an outcome's evidence on the program, independently of the
+    kernel's own checks."""
+    le = np.array([t == LE for t in lp.rel], dtype=bool)
+    ge = np.array([t == GE for t in lp.rel], dtype=bool)
+    eq = ~le & ~ge
+    lo_fin, hi_fin = np.isfinite(lp.lower), np.isfinite(lp.upper)
+
+    def feasible(x):
+        d = lp.A @ x - lp.b
+        return (np.all(d[le] <= tol) and np.all(d[ge] >= -tol)
+                and np.all(np.abs(d[eq]) <= tol)
+                and np.all(x[lo_fin] >= lp.lower[lo_fin] - tol)
+                and np.all(x[hi_fin] <= lp.upper[hi_fin] + tol))
+
+    if out.status is LpStatus.OPTIMAL:
+        assert feasible(out.x)
+        assert abs(out.value - lp.c @ out.x) <= tol
+        y, r = out.y, lp.c - lp.A.T @ out.y
+        assert np.all(y[le] >= -tol) and np.all(y[ge] <= tol)
+        # a reduced cost pushes against a finite bound the point rests on
+        at_lo = lo_fin & (out.x - lp.lower <= tol)
+        at_hi = hi_fin & (lp.upper - out.x <= tol)
+        assert np.all(np.abs(r[~at_lo & ~at_hi]) <= tol)
+        assert np.all(r[at_lo & ~at_hi] <= tol) and np.all(r[at_hi & ~at_lo] >= -tol)
+        dual = (y @ lp.b - np.maximum(-r, 0.0)[at_lo] @ lp.lower[at_lo]
+                + np.maximum(r, 0.0)[at_hi] @ lp.upper[at_hi])
+        assert abs(dual - out.value) <= 1e-8 * max(1.0, abs(out.value))
+    elif out.status is LpStatus.UNBOUNDED:
+        assert feasible(out.x)
+        d = lp.A @ out.ray
+        assert np.all(d[le] <= tol) and np.all(d[ge] >= -tol) and np.all(np.abs(d[eq]) <= tol)
+        assert np.all(out.ray[lo_fin] >= -tol) and np.all(out.ray[hi_fin] <= tol)
+        assert lp.c @ out.ray > tol
+    else:
+        f = out.farkas
+        assert out.status is LpStatus.INFEASIBLE and f is not None
+        assert np.all(f.row_mult[le] >= -tol) and np.all(f.row_mult[ge] <= tol)
+        assert np.all(f.lower_mult >= -tol) and np.all(f.upper_mult >= -tol)
+        assert np.all(f.lower_mult[~lo_fin] <= tol) and np.all(f.upper_mult[~hi_fin] <= tol)
+        assert np.max(np.abs(f.combination_residual(lp)), initial=0.0) <= 1e-7
+        assert f.combined_rhs(lp) < -tol
+
+
+class TestBoundedKernel:
+    """Bounds that are not rows, whole free columns, implicit rows."""
+
+    def test_variable_upper_bound_rows_match_the_oracle(self, monkeypatch):
+        # nv <= 3 with two-sided, one-sided and free columns, and "<=" rows
+        # a x_p + g x_key <= h that the kernel keeps out of its tableau (here
+        # however few they are)
+        monkeypatch.setattr(slaterkit.lp, "_MIN_IMPLICIT", 1)
+        rng = np.random.default_rng(60606)
+        implicit = 0
+        seen = set()
+        for case in range(400):
+            nv = int(rng.integers(2, 4))
+            key = int(rng.integers(0, nv))
+            rows, rel, b = [], [], []
+            for p in rng.permutation([j for j in range(nv) if j != key])[:int(rng.integers(1, nv))]:
+                row = np.zeros(nv)
+                row[p], row[key] = rng.integers(1, 3), rng.choice([-2, -1, 1, 2])
+                rows.append(row), rel.append(LE), b.append(int(rng.integers(-2, 5)))
+            for _ in range(int(rng.integers(0, 3))):
+                rows.append(rng.integers(-3, 4, size=nv).astype(float))
+                rel.append(str(rng.choice([LE, GE, EQ])))
+                b.append(int(rng.integers(-3, 4)))
+            lower = rng.integers(-3, 2, size=nv).astype(float)
+            upper = lower + rng.integers(0, 4, size=nv)
+            kind = rng.integers(0, 4, size=nv)  # two-sided, lower, upper, free
+            lower[(kind == 2) | (kind == 3)] = -math.inf
+            upper[(kind == 1) | (kind == 3)] = math.inf
+            seen.update(kind.tolist())
+            perm = rng.permutation(len(b))
+            lp = _lp(rng.integers(-3, 4, size=nv), np.array(rows)[perm],
+                     [rel[k] for k in perm], np.array(b, dtype=float)[perm], lower, upper)
+            implicit += slaterkit.lp._Tableau(lp, 1e-11).vp.size > 0
+            out = solve(lp)
+            status, value = _oracle(lp)
+            assert out.status.value == status, f"case {case}"
+            if status == "optimal":
+                assert abs(out.value - float(value)) <= 1e-9 * max(1.0, abs(float(value)))
+            _verify(lp, out)
+        assert seen == {0, 1, 2, 3} and implicit > 200
+
+    @pytest.mark.parametrize("gap", [0.5, 1e-6])
+    def test_large_bound_does_not_hide_infeasibility(self, gap):
+        # x <= 0 and x >= gap have no solution; the bound 1e9 of the second
+        # variable must not widen the acceptance threshold
+        lp = _lp([0, 0], [[1, 0], [1, 0]], [LE, GE], [0, gap],
+                 [-math.inf, 1.0], [math.inf, 1e9])
+        out = solve(lp)
+        assert out.status is LpStatus.INFEASIBLE
+        _verify(lp, out, tol=1e-12)
+
+    def test_oversized_program_is_refused_before_allocating(self):
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            lp = _lp([1, 1], rng.normal(size=(60000, 2)), [LE] * 60000,
+                     np.ones(60000), [-math.inf, 0.0], [math.inf, 1.0])
+            with pytest.raises(NumericalFailureError, match=r"\d+ x \d+"):
+                solve(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_free_column_is_one_column(self):
+        out = solve(_lp([1, 0], [[1, 1], [1, -1]], [LE, LE], [3, 1],
+                        [-math.inf, -math.inf], [math.inf, math.inf]))
+        assert out.status is LpStatus.OPTIMAL
+        np.testing.assert_allclose(out.x, [2.0, 1.0], atol=1e-12)
+
+    def test_bound_flip_costs_no_pivot(self):
+        # x rises from its lower to its upper bound, no row stops it
+        lp = _lp([1], [[1]], [LE], [5], [0.0], [2.0])
+        out = solve(lp)
+        assert out.status is LpStatus.OPTIMAL and out.value == 2.0
+        assert out.iterations == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,33 @@ class TestMarginLp:
         assert [c.n_rows for c in lp_calls] == [1]
         assert rep.diagnostics["lp_iterations"] <= 2
         assert len(rep.diagnostics["pinning_duals"]) == 1024 + 1
+
+
+class TestTwoSidedScale:
+    """Two-sided atoms stay out of the LP kernel's tableau."""
+
+    def test_memory_beyond_the_programs_own_matrix_is_small(self):
+        # M=2048 two-sided atoms and 8 rows.  The margin LP's coefficient
+        # matrix, built by the caller, is (M + 8) x (M + 1) doubles (33.7 MB);
+        # a tableau with a row per two-sided atom would add twice as much again
+        rng = np.random.default_rng(2048)
+        m = 2048
+        w = rng.integers(1, 3, size=m).astype(float)
+        lower = rng.integers(-2, 1, size=m).astype(float)
+        upper = lower + rng.integers(1, 3, size=m)
+        x = np.clip(rng.integers(-2, 3, size=m).astype(float), lower, upper)
+        rows = rng.integers(-2, 3, size=(8, m)).astype(float)
+        ineq = tuple((g, float(g * w @ x) + float(rng.integers(0, 2))) for g in rows[:6])
+        eq = tuple((h, float(h * w @ x)) for h in rows[6:])
+        prob = _prob(w, lower, upper, ineq, eq)
+        tracemalloc.start()
+        try:
+            rep = find_slater(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.found and rep.margin > 1e-9
+        assert peak < (m + 8) * (m + 1) * 8 + 10e6
 
 
 class TestDensityConstruction:
