@@ -58,15 +58,15 @@ class NoSlaterCertificate:
     bounds, so none can be interior.  Normalized so ``max |zeta| = 1``.
     """
 
-    zeta: np.ndarray
+    zeta: np.ndarray = field(repr=False)
     lam: dict[int, float]
-    mu: np.ndarray
-    system: MfcqSystem
-    base_point: np.ndarray
+    mu: np.ndarray = field(repr=False)
+    system: MfcqSystem = field(repr=False)
+    base_point: np.ndarray = field(repr=False)
     sign_residual: float
     combination_residual: float
-    support_positive: tuple[int, ...]
-    support_negative: tuple[int, ...]
+    support_positive: tuple[int, ...] = field(repr=False)
+    support_negative: tuple[int, ...] = field(repr=False)
     peak_atom: int
 
     @property

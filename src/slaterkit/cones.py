@@ -10,7 +10,7 @@ separating tangent direction out of the LP's infeasibility certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,9 +128,9 @@ class Decomposition:
     """A functional split as ``zeta + sum alpha_i g_i + sum beta_j h_j``
     (plus optional smooth-gradient terms) with zeta in the box normal cone."""
 
-    zeta: np.ndarray
+    zeta: np.ndarray = field(repr=False)
     alpha: dict[int, float]
-    beta: np.ndarray
+    beta: np.ndarray = field(repr=False)
     gamma: dict[int, float] | None = None
 
 
@@ -138,7 +138,7 @@ class Decomposition:
 class SumMembership:
     member: bool
     decomposition: Decomposition | None = None
-    direction: np.ndarray | None = None
+    direction: np.ndarray | None = field(default=None, repr=False)
 
 
 def _clamp_zeta(zeta: np.ndarray, masks) -> np.ndarray:

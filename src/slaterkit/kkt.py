@@ -64,11 +64,11 @@ class Multipliers:
     constraint indices to nonnegative weights.
     """
 
-    zeta: np.ndarray
-    zeta_lower: np.ndarray
-    zeta_upper: np.ndarray
+    zeta: np.ndarray = field(repr=False)
+    zeta_lower: np.ndarray = field(repr=False)
+    zeta_upper: np.ndarray = field(repr=False)
     alpha: dict[int, float]
-    beta: np.ndarray
+    beta: np.ndarray = field(repr=False)
     gamma: dict[int, float] = field(default_factory=dict)
 
 
@@ -81,10 +81,10 @@ class KktOutcome:
     """
 
     status: str
-    multipliers: Multipliers | None = None
-    direction: np.ndarray | None = None
-    slater_report: SlaterReport | None = None
-    diagnostics: dict = field(default_factory=dict)
+    multipliers: Multipliers | None = field(default=None, repr=False)
+    direction: np.ndarray | None = field(default=None, repr=False)
+    slater_report: SlaterReport | None = field(default=None, repr=False)
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
     def found(self) -> bool:
@@ -95,7 +95,7 @@ class KktOutcome:
 class StationarityReport:
     """Residuals and sign checks for a candidate multiplier set."""
 
-    residual: np.ndarray
+    residual: np.ndarray = field(repr=False)
     residual_max: float
     residual_dual_norm: float
     sign_violation: float

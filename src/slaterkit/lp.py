@@ -24,6 +24,11 @@ before it is allocated.  Every outcome is re-checked on the original rows
 and bounds at a threshold scaled by the largest coefficient, right-hand side
 or objective entry (bounds take no part); a failed check gives
 ``NUMERICAL_FAILURE``, never a wrong certificate.
+
+Without implicit rows (fewer than ``_MIN_IMPLICIT``) an iteration is a pricing
+pass, a ratio test of about fifteen vector operations on the entering column
+and a rank-one update in row blocks: on a few dozen rows the cost of each
+numpy call, not the arithmetic, sets its time.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ _MAX_TABLEAU_BYTES = 2 ** 29
 #: Fewest variable-upper-bound rows kept implicit: each costs bookkeeping per
 #: iteration, which a tableau row of a small program costs less than.
 _MIN_IMPLICIT = 100
+#: Largest temporary of one block of a pivot's rank-one update, in bytes.
+_BLOCK_BYTES = 2 ** 21
 
 
 class LpStatus(enum.Enum):
@@ -88,9 +95,8 @@ class LinearProgram:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2:
             A = A.reshape(-1, c.shape[0]) if A.size else np.zeros((0, c.shape[0]))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        b, lo, hi = (np.atleast_1d(np.asarray(v, dtype=float))
+                     for v in (self.b, self.lower, self.upper))
         rel = tuple(self.rel)
         n = c.shape[0]
         if A.shape != (b.shape[0], n):
@@ -99,12 +105,11 @@ class LinearProgram:
             raise DimensionMismatchError("bound vectors must match the variable count")
         if len(rel) != b.shape[0]:
             raise DimensionMismatchError("one relation tag per row required")
-        for t in rel:
-            if t not in (LE, EQ, GE):
-                raise ValueError(f"unknown row tag {t!r}")
-        if not np.all(np.isfinite(c)):
+        if bad := [t for t in rel if t not in (LE, EQ, GE)]:
+            raise ValueError(f"unknown row tag {bad[0]!r}")
+        if not np.isfinite(c).all():
             raise ValueError("objective must be finite")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("row data must be finite")
         for name, arr in (("c", c), ("A", A), ("b", b), ("lower", lo), ("upper", hi)):
             arr.setflags(write=False)
@@ -162,21 +167,17 @@ class LpOutcome:
 # the bounded-variable tableau
 
 
-def _row_kinds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the ``<=`` and ``>=`` rows; the rest are equalities."""
-    rel = np.array(lp.rel, dtype="<U2")
-    return rel == LE, rel == GE
-
-
 def _implicit_rows(lp: LinearProgram, le: np.ndarray):
     """Variable-upper-bound rows ``a x_p + g x_key <= h`` (``a > 0``): the
     key column, the rows and their own columns ``p``, one row per own
     column (none below ``_MIN_IMPLICIT`` candidates).  The key is the column
     most of the two-entry ``<=`` rows share."""
+    if np.count_nonzero(le) < _MIN_IMPLICIT:  # too few ``<=`` rows: no mask needed
+        return 0, np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     nz = lp.A != 0.0
     rows = np.flatnonzero(le & (np.count_nonzero(nz, axis=1) == 2))
     if rows.size < _MIN_IMPLICIT:
-        return 0, np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        return 0, rows[:0], rows[:0]
     first = nz.argmax(axis=1)[rows]
     last = lp.n_vars - 1 - nz[:, ::-1].argmax(axis=1)[rows]
     key = int(np.argmax(np.bincount(np.concatenate([first, last]))))
@@ -209,32 +210,32 @@ class _Tableau:
     def __init__(self, lp: LinearProgram, pivot_tol: float):
         self.pivot_tol, self.iterations = pivot_tol, 0
         A, n = lp.A, lp.n_vars
-        le, ge = _row_kinds(lp)
+        rel = np.array(lp.rel, dtype="<U2")  # masks of the <= and >= rows, kept for the checks
+        self.le, self.ge = le, ge = rel == LE, rel == GE
         x0 = np.where(np.isfinite(lp.lower), lp.lower,
                       np.where(np.isfinite(lp.upper), lp.upper, 0.0))
         key, vrows, vp = _implicit_rows(lp, le)
-        va = vg = c = np.zeros(0)
         if vrows.size:
             va, vg, c = A[vrows, vp], A[vrows, key], lp.b[vrows] - A[vrows, vp] * x0[vp]
             ok = c - vg * x0[key] >= 0.0  # a row the starting point violates stays explicit
             vrows, vp, va, vg, c = vrows[ok], vp[ok], va[ok], vg[ok], c[ok]
-        nv = vrows.size
-        R = np.delete(np.arange(lp.n_rows), vrows)
+        self.nv = nv = vrows.size
+        R = np.delete(np.arange(lp.n_rows), vrows) if nv else np.arange(lp.n_rows)
         nr, ncols, cap = R.size, n + R.size + 1, R.size + 4
         if 8 * cap * ncols > _MAX_TABLEAU_BYTES:
             raise NumericalFailureError(
                 f"LP too large for the dense kernel: a {nr} x {ncols} working tableau "
                 f"exceeds {_MAX_TABLEAU_BYTES // 2 ** 20} MiB")
         # explicit rows, oriented so the logical is +1 and at a feasible level
-        eq = ~(le | ge)[R]
-        resid = lp.b[R] - A[R] @ x0
+        eq, AR = ~(le | ge)[R], A[R]
+        resid = lp.b[R] - AR @ x0
         o = np.where(ge[R] | (eq & (resid < 0.0)), -1.0, 1.0)
         rho = o * resid
         lcol, neg = n + np.arange(nr), ~eq & (rho < 0.0)
         self.art = np.zeros(ncols, dtype=bool)
         self.art[lcol[eq]] = self.art[-1] = True
         self.T = T = np.zeros((cap, ncols))
-        T[2:nr + 2, :n] = A[R] * o[:, None]
+        T[2:nr + 2, :n] = AR * o[:, None]
         T[np.arange(2, nr + 2), lcol] = 1.0
         T[2:nr + 2, -1] = -neg.astype(float)
         T[0] = T[2:nr + 2][eq].sum(axis=0) - self.art  # artificials cost -1 in phase one
@@ -252,16 +253,18 @@ class _Tableau:
         self.bv, self.bl, self.bh = np.zeros(cap), np.zeros(cap), np.full(cap, math.inf)
         self.basis[2:nr + 2] = self.bo[2:nr + 2] = lcol
         self.bv[2:nr + 2] = rho
-        # implicit rows; the slack of row i is variable vbase + i in Bland's order
-        self.key, self.vp, self.va, self.vg, self.vrows = key, vp, va, vg, vrows
-        self.vh, self.plo, self.phi, self.vbase = lp.b[vrows], lp.lower[vp], lp.upper[vp], ncols
-        self.own = np.full(ncols, -1)
-        self.own[vp] = np.arange(nv)
-        self.tight, self.spare, self.kk = np.zeros(nv, dtype=bool), np.full(nv, -1), vg.copy()
-        self.kmax = float(np.abs(np.concatenate([vg, vg / va])).max(initial=0.0))
-        # the slack c - g key (g != 0) reaches 0 at key c / g
-        self.up = np.where(vg > 0, c / vg, math.inf)
-        self.down = np.where(vg < 0, c / vg, -math.inf)
+        # implicit rows, state only if there are any; v_i is vbase + i in Bland's order
+        self.key, self.vp, self.vrows, self.vbase = key, vp, vrows, ncols
+        if nv:
+            self.va, self.vg, self.vh = va, vg, lp.b[vrows]
+            self.plo, self.phi = lp.lower[vp], lp.upper[vp]
+            self.own = np.full(ncols, -1)
+            self.own[vp] = np.arange(nv)
+            self.tight, self.spare, self.kk = np.zeros(nv, dtype=bool), np.full(nv, -1), vg.copy()
+            self.kmax = float(np.abs(np.concatenate([vg, vg / va])).max(initial=0.0))
+            # the slack c - g key (g != 0) reaches 0 at key c / g
+            self.up = np.where(vg > 0, c / vg, math.inf)
+            self.down = np.where(vg < 0, c / vg, -math.inf)
         if neg.any():
             r = int(np.flatnonzero(neg)[np.argmin(rho[neg])])
             self.bv[2:nr + 2][neg] -= rho[r]
@@ -285,18 +288,19 @@ class _Tableau:
     # -- basis changes --------------------------------------------------------
 
     def eliminate(self, r: int, j: int):
-        """Row operations making column ``j`` the unit column of row ``r``."""
+        """Row operations making column ``j`` the unit column of row ``r``, in
+        blocks of rows whose temporaries stay under ``_BLOCK_BYTES``."""
         T = self.T[: self.nr + 2]
         T[r] /= T[r, j]
-        col = T[:, j].copy()
+        col, pivot_row = T[:, j].copy(), T[r].copy()
         col[r] = 0.0
-        rows = np.flatnonzero(col)
-        if rows.size * 2 < col.size:
-            T[rows] -= np.outer(col[rows], T[r])
-        else:
-            T -= np.outer(col, T[r])
-        T[:, j] = 0.0
-        T[r, j] = 1.0
+        rows = col.nonzero()[0]
+        every = rows.size * 2 >= col.size
+        size = max(1, _BLOCK_BYTES // (8 * pivot_row.size))
+        for s in range(0, col.size if every else rows.size, size):
+            block = slice(s, s + size) if every else rows[s:s + size]
+            T[block] -= col[block, None] * pivot_row
+        T[:, j], T[r, j] = 0.0, 1.0
 
     def pivot(self, r: int, j: int, leaving: bool = True):
         """Column ``j``, at value ``x[j]``, becomes basic in row ``r``; the
@@ -311,8 +315,8 @@ class _Tableau:
         self.bv[r], self.bl[r] = self.x[j], self.lo[j]
         self.bh[r], self.bo[r] = self.hi[j], self.order[j]
         self.nfree, self.free[j] = self.nfree - self.free[j], False
-        for col in (j, out) if leaving else (j,):
-            if self.own[col] >= 0:
+        for col in ((j, out) if leaving else (j,)) if self.nv else ():
+            if self.own[col] >= 0:  # an implicit row's shared column moved
                 self.refresh(self.own[col])
         self.iterations += 1
 
@@ -395,64 +399,63 @@ class _Tableau:
         basic columns and of the key.  Ties go to the first in Bland's order."""
         nr, key = self.nr, self.key
         rb = self.T[2:nr + 2, j] * -delta
-        rk, kv, mine = 0.0, 0.0, -1
-        # (order, rate, value, lo, hi, kind, where) of j's own bound and of the
-        # implicit rows that move with more than the key
-        single = [(self.order[j], delta, self.x[j], self.lo[j], self.hi[j], "flip", j)]
-        if self.vp.size:
+        mag = np.abs(rb)
+        floor = max(self.pivot_tol, _REL_PIVOT * float(np.maximum.reduce(mag, initial=0.0)))
+        rk, kv, best = 0.0, 0.0, math.inf
+        if self.nv:  # (order, rate, value, lo, hi, row) of rows moving with more than the key
             rk = delta if key == j else rb[self.row_of[key] - 2] if self.row_of[key] >= 0 else 0.0
-            kv = self.value(key)
+            kv, mine, single = self.value(key), -1, []
             oi = self.own[self.basis[2:nr + 2]]
             for t in np.flatnonzero(oi >= 0):  # loose, x_p basic: v = h - a x_p - g key
                 if self.spare[h := oi[t]] < 0:
                     a, g = self.va[h], self.vg[h]
-                    single.append((self.vbase + h, -(a * rb[t] + g * rk), self.vh[h]
-                                   - a * self.bv[t + 2] - g * kv, 0.0, math.inf, "imp", h))
+                    single.append((self.vbase + h, -(a * rb[t] + g * rk),
+                                   self.vh[h] - a * self.bv[t + 2] - g * kv, 0.0, math.inf, h))
             i = self.own[j]
             if i >= 0 and self.spare[i] < 0:  # the row sharing j's column
                 mine, a, g, h = i, self.va[i], self.vg[i], self.vh[i]
                 single.append((self.vp[i], -(g * rk + delta) / a, (h - g * kv - self.x[j]) / a,
-                               self.plo[i], self.phi[i], "imp", i) if self.tight[i] else
+                               self.plo[i], self.phi[i], i) if self.tight[i] else
                               (self.vbase + i, -(a * delta + g * rk), h - a * self.x[j] - g * kv,
-                               0.0, math.inf, "imp", i))
-        mag = np.abs(rb)
-        floor = max(self.pivot_tol, _REL_PIVOT * max(
-            [float(mag.max(initial=0.0)), self.kmax * abs(rk)] + [abs(c[1]) for c in single[1:]]))
+                               0.0, math.inf, i))
+            rates = [self.kmax * abs(rk)] + [abs(t[1]) for t in single]
+            floor = max(floor, _REL_PIVOT * max(rates))
+            picks = [(o, (e - v) / r, ("imp", row, e)) for o, r, v, low, high, row in single
+                     if abs(r) > floor for e in (high if r > 0 else low,)]
+            best = min([best] + [t[1] for t in picks])
+            if rk != 0.0:  # rows moved by the key alone stop at fixed key values
+                drive = np.where(np.abs(self.kk) > floor / abs(rk),
+                                 self.up if rk > 0 else self.down, math.inf * rk)
+                if mine >= 0:
+                    drive[mine] = math.inf * rk
+                best = min(best, (float(drive.min() if rk > 0 else drive.max()) - kv) / rk)
         lim = np.where(rb > 0.0, self.bh[2:nr + 2], self.bl[2:nr + 2])
-        room = np.full(nr, math.inf)
+        room = np.empty(nr)
+        room.fill(math.inf)
         np.divide(lim - self.bv[2:nr + 2], rb, out=room, where=mag > floor)
-        best, picks = float(room.min(initial=math.inf)), []
-        for o, r, v, low, high, kind, where in single:
-            if kind == "flip" or abs(r) > floor:
-                edge = high if r > 0 else low
-                if (edge - v) / r < math.inf:
-                    picks.append((o, (edge - v) / r, (kind, where, edge)))
-                    best = min(best, (edge - v) / r)
-        drive = None
-        if rk != 0.0:  # rows moved by the key alone stop at fixed key values
-            drive = np.where(np.abs(self.kk) > floor / abs(rk), self.up if rk > 0 else self.down,
-                             math.inf * rk)
-            if mine >= 0:
-                drive[mine] = math.inf * rk
-            best = min(best, (float(drive.min() if rk > 0 else drive.max()) - kv) / rk)
+        edge = self.hi[j] if delta > 0.0 else self.lo[j]
+        flip = (edge - self.x[j]) / delta
+        best = min(float(np.minimum.reduce(room, initial=math.inf)), flip, best)
         if best == math.inf:
             return best, None, rb, rk
         tie = max(best, 0.0) + 1e-12 * (1.0 + abs(best))
-        picks = [t for t in picks if t[1] <= tie]
-        cand = np.flatnonzero(room <= tie)
-        if cand.size:
-            c = int(cand[np.argmin(self.bo[cand + 2])])
-            picks.append((self.bo[c + 2], float(room[c]), ("row", c + 2, lim[c])))
-        if drive is not None:
-            cand = np.flatnonzero(drive <= kv + tie * rk if rk > 0 else drive >= kv + tie * rk)
-            if cand.size:
+        o, step, block = (self.order[j], flip, ("flip", j, edge)) if flip <= tie else (
+            math.inf, 0.0, None)
+        if (cand := (room <= tie).nonzero()[0]).size:
+            c = int(cand[0] if cand.size == 1 else cand[self.bo[cand + 2].argmin()])
+            if self.bo[c + 2] < o:
+                o, step, block = self.bo[c + 2], room[c], ("row", c + 2, lim[c])
+        if self.nv:
+            o, step, block = min([t for t in picks if t[1] <= tie] + [(o, step, block)],
+                                 key=lambda t: t[0])
+            if rk != 0.0:  # the row first in Bland's order that the key alone blocks
+                cand = np.flatnonzero(drive <= kv + tie * rk if rk > 0 else drive >= kv + tie * rk)
                 order = np.where(self.tight[cand], self.vp[cand], self.vbase + cand)
-                k = int(np.argmin(order))
-                c = int(cand[k])
-                low, high = (self.plo[c], self.phi[c]) if self.tight[c] else (0.0, math.inf)
-                picks.append((order[k], (drive[c] - kv) / rk,
-                              ("imp", c, low if self.kk[c] * rk > 0 else high)))
-        _, step, block = min(picks, key=lambda t: t[0])
+                if cand.size and order[k := int(np.argmin(order))] < o:
+                    c = int(cand[k])
+                    low, high = (self.plo[c], self.phi[c]) if self.tight[c] else (0.0, math.inf)
+                    o, step = order[k], (drive[c] - kv) / rk
+                    block = ("imp", c, low if self.kk[c] * rk > 0 else high)
         return max(step, 0.0), block, rb, rk
 
     def run_phase(self, phase: int, dual_tol: float, max_iter: int) -> str:
@@ -464,10 +467,10 @@ class _Tableau:
             gain = z * self.dirn
             if self.nfree:
                 gain[self.free] = np.abs(z[self.free])
-            idx = np.flatnonzero(gain > dual_tol) if bland else [int(np.argmax(gain))]
+            idx = (gain > dual_tol).nonzero()[0] if bland else (int(gain.argmax()),)
             if not len(idx) or gain[idx[0]] <= dual_tol:
                 return "optimal"
-            j = int(idx[np.argmin(self.order[idx])]) if bland else idx[0]
+            j = int(idx[self.order[idx].argmin()]) if bland else idx[0]
             delta = 1.0 if z[j] > 0.0 else -1.0
             step, block, rb, rk = self.ratio(j, delta)
             if block is None:
@@ -476,7 +479,7 @@ class _Tableau:
             gained = step * gain[j]
             self.x[j] += delta * step
             self.bv[2:self.nr + 2] += step * rb
-            i, (kind, where, hit) = self.own[j], block
+            i, (kind, where, hit) = self.own[j] if self.nv else -1, block
             mine = i >= 0 and self.spare[i] < 0
             if kind == "flip":
                 self.x[j] = hit
@@ -513,17 +516,20 @@ class _Tableau:
     def values(self) -> np.ndarray:
         """Value of every column's variable; the shared column of a tight
         implicit row reads ``x_p``."""
-        x, t = self.x.copy(), self.tight & (self.spare < 0)
-        x[self.basis[2:self.nr + 2]], p = self.bv[2:self.nr + 2], self.vp[t]
-        x[p] = (self.vh[t] - self.vg[t] * self.value(self.key) - x[p]) / self.va[t]
+        x = self.x.copy()
+        x[self.basis[2:self.nr + 2]] = self.bv[2:self.nr + 2]
+        if self.nv:
+            p = self.vp[t := self.tight & (self.spare < 0)]
+            x[p] = (self.vh[t] - self.vg[t] * self.value(self.key) - x[p]) / self.va[t]
         return x
 
     def duals(self, phase: int, lp: LinearProgram) -> np.ndarray:
         """Duals of the program's rows, read off their logical columns."""
-        z, y, lcol = self.T[phase], np.zeros(lp.n_rows), self.n + np.arange(self.R.size)
+        z, y, lcol = self.T[phase], np.zeros(lp.n_rows), slice(self.n, self.n + self.R.size)
         y[self.R] = self.o * ((-1.0 * self.art[lcol] if phase == 0 else 0.0) - z[lcol])
-        vcol = np.where(self.spare >= 0, self.spare, self.vp)
-        y[self.vrows] = np.where(self.tight | (self.spare >= 0), -z[vcol], 0.0)
+        if self.nv:
+            vcol = np.where(self.spare >= 0, self.spare, self.vp)
+            y[self.vrows] = np.where(self.tight | (self.spare >= 0), -z[vcol], 0.0)
         return y
 
     def ray(self) -> np.ndarray:
@@ -532,11 +538,11 @@ class _Tableau:
         d = np.zeros(self.x.size)
         d[j] = delta
         d[self.basis[2:self.nr + 2]] = rb
-        t = self.tight & (self.spare < 0)
-        d[self.vp[t]] = -self.kk[t] * rk
-        i = self.own[j]
-        if i >= 0 and self.spare[i] < 0 and self.tight[i]:
-            d[j] = -(self.vg[i] * rk + delta) / self.va[i]
+        if self.nv:
+            t, i = self.tight & (self.spare < 0), self.own[j]
+            d[self.vp[t]] = -self.kk[t] * rk
+            if i >= 0 and self.spare[i] < 0 and self.tight[i]:
+                d[j] = -(self.vg[i] * rk + delta) / self.va[i]
         return d[: self.n]
 
 
@@ -570,19 +576,19 @@ def feasibility(A, rel, b, lower, upper, tol: float = DEFAULT_FEAS_TOL) -> LpOut
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[1] if A.ndim == 2 else np.atleast_1d(lower).shape[0]
-    lp = LinearProgram(np.zeros(n), A, tuple(rel), b, lower, upper)
-    return solve(lp, tol=tol)
+    return solve(LinearProgram(np.zeros(n), A, tuple(rel), b, lower, upper), tol=tol)
 
 
 def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
                 max_iter: int | None) -> LpOutcome:
     tb, scale = _Tableau(lp, pivot_tol), _data_scale(lp)
+    vt = 50.0 * tol * scale  # the acceptance threshold of every post-hoc check
     max_iter = 2000 + 20 * (tb.nr + tb.x.size) if max_iter is None else max_iter
 
     def failure(message: str) -> LpOutcome:
         return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=message, iterations=tb.iterations)
 
-    if np.any(tb.row_of[tb.art] >= 0):
+    if (tb.row_of[tb.art] >= 0).any():
         stop = tb.run_phase(0, tol, max_iter)
         if stop != "optimal":
             return failure("iteration limit reached in phase one" if stop == "iteration_limit"
@@ -592,14 +598,15 @@ def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
             # phase one's reduced costs of the structural variables (x_p of a
             # tight row is basic) are -A'y: weights on the bounds they rest on
             z = tb.T[0, : tb.n].copy()
-            z[tb.vp[tb.tight & (tb.spare < 0)]] = 0.0
+            if tb.nv:
+                z[tb.vp[tb.tight & (tb.spare < 0)]] = 0.0
             wL = np.where(np.isfinite(lp.lower), np.maximum(-z, 0.0), 0.0)
             wU = np.where(np.isfinite(lp.upper), np.maximum(z, 0.0), 0.0)
             kappa = float(np.max(np.abs(np.concatenate([y, wL, wU])), initial=0.0))
             if kappa <= 0.0:
                 return failure("empty infeasibility certificate")
             cert = FarkasCertificate(y / kappa, wL / kappa, wU / kappa)
-            err = _check_farkas(lp, cert, tol, scale)
+            err = _check_farkas(lp, tb.le, tb.ge, cert, tol, vt)
             return failure(err) if err else LpOutcome(LpStatus.INFEASIBLE, farkas=cert,
                                                       iterations=tb.iterations)
     tb.hi[tb.art] = tb.bh[tb.row_of[tb.art & (tb.row_of >= 0)]] = 0.0  # artificials stay at 0
@@ -611,16 +618,16 @@ def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
     if stop == "unbounded":
         ray = tb.ray()
         ray = ray / max(float(np.max(np.abs(ray))), 1e-300)
-        err = _check_unbounded(lp, x, ray, tol, scale)
+        err = _check_unbounded(lp, tb.le, tb.ge, x, ray, tol, vt)
         return failure(err) if err else LpOutcome(LpStatus.UNBOUNDED, x=x, ray=ray,
                                                   iterations=tb.iterations)
     # a basic artificial at a genuinely nonzero level means phase one lied
-    if np.any(np.abs(values[tb.art]) > tol * scale):
+    if (np.abs(values[tb.art]) > tol * scale).any():
         return failure("artificial variable stuck at a nonzero level")
     value = float(lp.c @ x)
     y = tb.duals(1, lp)
     reduced = lp.c - lp.A.T @ y
-    err = _check_optimal(lp, x, y, reduced, value, tol, scale)
+    err = _check_optimal(lp, tb.le, tb.ge, x, y, reduced, value, vt)
     return failure(err) if err else LpOutcome(LpStatus.OPTIMAL, x=x, value=value, y=y,
                                               reduced_costs=reduced, iterations=tb.iterations)
 
@@ -633,16 +640,16 @@ def _data_scale(lp: LinearProgram) -> float:
     """Largest coefficient, right-hand side or objective entry (at least 1):
     the scale of every acceptance threshold.  Variable bounds take no part,
     so a large bound loosens no check."""
-    return max([1.0] + [max(float(v.max()), -float(v.min()))
+    return max([1.0] + [max(np.maximum.reduce(v, axis=None), -np.minimum.reduce(v, axis=None))
                         for v in (lp.A, lp.b, lp.c) if v.size])
 
 
-def _primal_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    le, ge = _row_kinds(lp)
+def _residuals(lp: LinearProgram, le, ge, x: np.ndarray):
+    """Largest row or bound violation at ``x`` (NaN if any), ``x - lower``, ``upper - x``."""
     d = lp.A @ x - lp.b
-    return float(np.max(np.concatenate([
-        [0.0], d[le], -d[ge], np.abs(d[~(le | ge)]),
-        (lp.lower - x)[np.isfinite(lp.lower)], (x - lp.upper)[np.isfinite(lp.upper)]])))
+    lo_gap, hi_gap = x - lp.lower, lp.upper - x
+    rows = np.where(le, d, np.where(ge, -d, np.abs(d)))
+    return float(np.concatenate([rows, -lo_gap, -hi_gap]).max(initial=0.0)), lo_gap, hi_gap
 
 
 def _first(checks) -> str:
@@ -650,34 +657,29 @@ def _first(checks) -> str:
     return next((message for ok, message in checks if not ok), "")
 
 
-def _check_optimal(lp: LinearProgram, x, y, reduced, value, tol, scale) -> str:
-    vt = 50.0 * tol * scale
-    le, ge = _row_kinds(lp)
-    r = reduced
+def _check_optimal(lp: LinearProgram, le, ge, x, y, r, value, vt) -> str:
+    violation, lo_gap, hi_gap = _residuals(lp, le, ge, x)
     band = vt * np.maximum(1.0, np.abs(x))
-    at_lo = np.isfinite(lp.lower) & (x - lp.lower <= band)
-    at_hi = np.isfinite(lp.upper) & (lp.upper - x <= band)
+    at_lo, at_hi = lo_gap <= band, hi_gap <= band
     wL = np.where(at_lo, np.maximum(-r, 0.0), 0.0)
     wU = np.where(at_hi, np.maximum(r, 0.0), 0.0)
     dual_value = (float(y @ lp.b) - float(wL @ np.where(at_lo, lp.lower, 0.0))
                   + float(wU @ np.where(at_hi, lp.upper, 0.0)))
     return _first([
-        (_primal_violation(lp, x) <= vt, "optimal point violates a constraint beyond tolerance"),
-        (np.all(y[le] >= -vt), "dual sign violated on a <= row"),
-        (np.all(y[ge] <= vt), "dual sign violated on a >= row"),
-        (np.all(r[at_lo & ~at_hi] <= vt), "reduced cost has the wrong sign at a lower bound"),
-        (np.all(r[at_hi & ~at_lo] >= -vt), "reduced cost has the wrong sign at an upper bound"),
-        (np.all(np.abs(r[~at_lo & ~at_hi]) <= vt), "nonzero reduced cost on an interior variable"),
+        (violation <= vt, "optimal point violates a constraint beyond tolerance"),
+        ((y[le] >= -vt).all(), "dual sign violated on a <= row"),
+        ((y[ge] <= vt).all(), "dual sign violated on a >= row"),
+        ((r[at_lo & ~at_hi] <= vt).all(), "reduced cost has the wrong sign at a lower bound"),
+        ((r[at_hi & ~at_lo] >= -vt).all(), "reduced cost has the wrong sign at an upper bound"),
+        ((np.abs(r[~at_lo & ~at_hi]) <= vt).all(), "nonzero reduced cost on an interior variable"),
         (abs(dual_value - value) <= vt * (1.0 + abs(value)),
          "primal and dual objective values disagree")])
 
 
-def _check_unbounded(lp: LinearProgram, x, ray, tol, scale) -> str:
-    vt = 50.0 * tol * scale
-    le, ge = _row_kinds(lp)
+def _check_unbounded(lp: LinearProgram, le, ge, x, ray, tol, vt) -> str:
     vals = lp.A @ ray
     return _first([
-        (_primal_violation(lp, x) <= vt, "unbounded case: the feasible point is not feasible"),
+        (_residuals(lp, le, ge, x)[0] <= vt, "unbounded case: the feasible point is not feasible"),
         (np.all(vals[le] <= vt), "ray leaves a <= row"),
         (np.all(vals[ge] >= -vt), "ray leaves a >= row"),
         (np.all(np.abs(vals[~(le | ge)]) <= vt), "ray leaves an equality row"),
@@ -686,9 +688,7 @@ def _check_unbounded(lp: LinearProgram, x, ray, tol, scale) -> str:
         (float(lp.c @ ray) > tol, "ray does not improve the objective")])
 
 
-def _check_farkas(lp: LinearProgram, cert: FarkasCertificate, tol, scale) -> str:
-    vt = 50.0 * tol * scale
-    le, ge = _row_kinds(lp)
+def _check_farkas(lp: LinearProgram, le, ge, cert: FarkasCertificate, tol, vt) -> str:
     res = cert.combination_residual(lp)
     return _first([
         (np.all(cert.row_mult[le] >= -vt), "Farkas multiplier negative on a <= row"),

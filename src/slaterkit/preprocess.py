@@ -65,10 +65,10 @@ class MfcqSystem:
     ``eq``, as on :class:`~slaterkit.model.Problem`.
     """
 
-    space: MeasureSpace
-    ineq: tuple
-    eq: tuple
-    witness: np.ndarray
+    space: MeasureSpace = field(repr=False)
+    ineq: tuple = field(repr=False)
+    eq: tuple = field(repr=False)
+    witness: np.ndarray = field(repr=False)
     witness_margin: float
     provenance: dict[int, str]
     eq_sources: tuple[tuple[str, int], ...]

@@ -67,12 +67,12 @@ class SlaterReport:
     """
 
     status: str
-    point: np.ndarray | None = None
+    point: np.ndarray | None = field(default=None, repr=False)
     margin: float | None = None
     optimal_t: float | None = None
-    feasible_point: np.ndarray | None = None
+    feasible_point: np.ndarray | None = field(default=None, repr=False)
     message: str = ""
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     @property
     def found(self) -> bool:

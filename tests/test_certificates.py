@@ -10,12 +10,15 @@ from slaterkit import (
     PreconditionError,
     Problem,
     build_bad_functional,
+    build_mfcq_system,
     build_no_slater_certificate,
     constant_control_model,
     find_slater,
     log_counterexample_model,
     normal_K_contains,
+    recover_multipliers_linear,
     refinement_study,
+    sum_NK_NP_contains,
 )
 from slaterkit.fileio import load_point, load_problem
 from conftest import DATA, anchored_problem
@@ -190,3 +193,21 @@ class TestRefinementStudy:
             assert prob.size == 5
             assert grad.shape == (5,)
             assert np.all(xbar == 0.0)
+
+
+class TestShortReprs:
+    """Result objects print their scalars and small per-constraint maps, not
+    their arrays or nested results: callers format a repr eagerly (an
+    f-string message), and the arrays made it several kB at 128 atoms."""
+
+    def test_no_array_entries_at_128_atoms(self):
+        prob, xbar, grad = log_counterexample_model(128)
+        cert = build_no_slater_certificate(prob, xbar)
+        kkt = recover_multipliers_linear(prob, xbar, grad)
+        decomposition = sum_NK_NP_contains(prob, xbar, grad).decomposition
+        for obj in (find_slater(prob), cert, cert.system, build_mfcq_system(prob), kkt,
+                    kkt.multipliers, decomposition):
+            text = repr(obj)
+            assert text.startswith(type(obj).__name__ + "(")
+            assert "array" not in text and "0.0078125" not in text, text[:200]
+            assert len(text) < 400, len(text)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import slaterkit.lp
-from slaterkit import LinearProgram, LpStatus, NumericalFailureError, feasibility, solve
+from slaterkit import (LinearProgram, LpStatus, NumericalFailureError, feasibility,
+                       log_counterexample_model, recover_multipliers_linear, solve)
 from slaterkit.lp import LE, GE, EQ
 from slaterkit import oracles
 
@@ -266,3 +267,23 @@ class TestBoundedKernel:
         out = solve(lp)
         assert out.status is LpStatus.OPTIMAL and out.value == 2.0
         assert out.iterations == 1
+
+
+class TestPivotMemory:
+    """A pivot's row update allocates blocks of rows, not a second tableau."""
+
+    def test_peak_stays_near_the_tableau(self, lp_calls):
+        # the multiplier LP of the log family has one row per atom: at 2048
+        # atoms its working tableau takes 32 MiB, and a tableau-sized
+        # temporary per pivot would double the peak
+        prob, xbar, grad = log_counterexample_model(2048)
+        tracemalloc.start()
+        try:
+            out = recover_multipliers_linear(prob, xbar, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (lp,) = lp_calls
+        tableau = 8 * (lp.n_rows + 4) * (lp.n_vars + lp.n_rows + 1)
+        assert out.found and tableau > 32 * 2 ** 20
+        assert peak < tableau + 8 * 2 ** 20
