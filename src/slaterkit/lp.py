@@ -7,9 +7,10 @@ tableau simplex (Dantzig's upper-bounding technique):
 * a bound is never a row: a nonbasic column rests at a bound (a free one at
   zero, as one column) and flips to its opposite bound without a pivot;
 * ``<=`` rows ``a x_p + g x_key <= h`` (``a > 0``, a column ``x_p`` of their
-  own, one key column shared by all) are implicit variable upper bounds
-  (Schrage's technique): they stay out of the tableau, and their basic
-  representative (the slack, or ``x_p`` while tight) is read off the row;
+  own, one key column shared by all) that the program declares as its
+  ``vub`` block are implicit variable upper bounds (Schrage's technique):
+  they stay out of the tableau, and their basic representative (the slack,
+  or ``x_p`` while tight) is read off the row;
 * every other row gets a slack (a ``>=`` row is negated) or, on an
   equality, an artificial; one shared artificial repairs the violated
   inequality rows in one pivot, so phase one starts from the logical basis;
@@ -25,10 +26,15 @@ and bounds at a threshold scaled by the largest coefficient, right-hand side
 or objective entry (bounds take no part); a failed check gives
 ``NUMERICAL_FAILURE``, never a wrong certificate.
 
-Without implicit rows (fewer than ``_MIN_IMPLICIT``) an iteration is a pricing
-pass, a ratio test of about fifteen vector operations on the entering column
-and a rank-one update in row blocks: on a few dozen rows the cost of each
-numpy call, not the arithmetic, sets its time.
+An iteration is a pricing pass, a ratio test of about fifteen vector
+operations on the entering column and a rank-one update in row blocks: on a
+few dozen rows the cost of each numpy call, not the arithmetic, sets its
+time.  A block row adds no tableau row: an iteration adds a few scalar steps
+per loose row whose ``x_p`` is basic, one pass over the block's precomputed
+key limits and, when a row changes which variable holds its column, a column
+substitution.  On 128 block rows and 8 general rows an iteration costs about
+twice one of the same rows over 128 bounded columns (about 50 vs 28 us on
+the 2-vCPU machine of BENCH_21.json).
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError
 
-__all__ = ["LpStatus", "LinearProgram", "FarkasCertificate", "LpOutcome", "solve",
+__all__ = ["LpStatus", "LinearProgram", "VubRows", "FarkasCertificate", "LpOutcome", "solve",
            "feasibility", "DEFAULT_FEAS_TOL", "DEFAULT_PIVOT_TOL"]
 
 LE, EQ, GE = "<=", "==", ">="
@@ -56,9 +62,6 @@ _STALL_LIMIT = 60  # stalled iterations before switching to Bland's rule
 _REL_PIVOT = 1e-9
 #: Largest working tableau, in bytes, that the dense kernel allocates.
 _MAX_TABLEAU_BYTES = 2 ** 29
-#: Fewest variable-upper-bound rows kept implicit: each costs bookkeeping per
-#: iteration, which a tableau row of a small program costs less than.
-_MIN_IMPLICIT = 100
 #: Largest temporary of one block of a pivot's rank-one update, in bytes.
 _BLOCK_BYTES = 2 ** 21
 
@@ -71,16 +74,32 @@ class LpStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
+class VubRows:
+    """Variable-upper-bound rows ``a[i] x[col[i]] + g[i] x[key] <= h[i]``: one
+    key column, per row a column of its own (distinct, not the key), ``a > 0``
+    and ``g != 0``.  On a :class:`LinearProgram` they follow ``A``'s rows."""
+
+    key: int
+    col: np.ndarray
+    a: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """``maximize c.x`` s.t. tagged rows and variable bounds.
 
     Attributes
     ----------
     c : (n,) objective, always maximized.
-    A : (k, n) row coefficients.
+    A : (k, n) coefficients of the general rows.
     rel : k row tags, each one of ``"<="``, ``"=="``, ``">="``.
     b : (k,) right-hand sides.
     lower, upper : (n,) variable bounds, entries may be infinite.
+    vub : optional :class:`VubRows`, ``<=`` rows after ``A``'s.
+
+    The program keeps read-only copies of the caller's arrays.
     """
 
     c: np.ndarray
@@ -89,13 +108,14 @@ class LinearProgram:
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    vub: VubRows | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = np.asarray(self.A, dtype=float)
+        c = np.atleast_1d(np.array(self.c, dtype=float))
+        A = np.array(self.A, dtype=float)
         if A.ndim != 2:
             A = A.reshape(-1, c.shape[0]) if A.size else np.zeros((0, c.shape[0]))
-        b, lo, hi = (np.atleast_1d(np.asarray(v, dtype=float))
+        b, lo, hi = (np.atleast_1d(np.array(v, dtype=float))
                      for v in (self.b, self.lower, self.upper))
         rel = tuple(self.rel)
         n = c.shape[0]
@@ -111,6 +131,26 @@ class LinearProgram:
             raise ValueError("objective must be finite")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("row data must be finite")
+        if (v := self.vub) is not None:
+            col, (a, g, h) = np.atleast_1d(np.array(v.col)), (
+                np.atleast_1d(np.array(w, dtype=float)) for w in (v.a, v.g, v.h))
+            if col.ndim != 1 or not a.shape == g.shape == h.shape == col.shape:
+                raise DimensionMismatchError("block rows need one column, a, g and h each")
+            if not np.isfinite(np.concatenate([a, g, h])).all():
+                raise ValueError("row data must be finite")
+            seen = np.zeros(n + 1, dtype=bool)  # entry n: a column out of range
+            seen[np.where((col >= 0) & (col < n), col, n).astype(np.intp)] = True
+            key = int(v.key)
+            if (col.size and (col.dtype.kind not in "iu" or np.minimum.reduce(a) <= 0.0
+                              or np.minimum.reduce(np.abs(g)) == 0.0)) or not (
+                    key == v.key and 0 <= key < n and not seen[key] and not seen[n]
+                    and np.count_nonzero(seen) == col.size):
+                raise ValueError("block rows need integer columns, distinct, in range and "
+                                 "not the key, a > 0 and g != 0")
+            v = VubRows(key, col.astype(np.intp), a, g, h)
+            for arr in v.col, a, g, h:
+                arr.setflags(write=False)
+            object.__setattr__(self, "vub", v)
         for name, arr in (("c", c), ("A", A), ("b", b), ("lower", lo), ("upper", hi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -122,7 +162,25 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return self.b.shape[0]
+        return self.b.shape[0] + (0 if self.vub is None else self.vub.col.shape[0])
+
+    @property
+    def rhs(self) -> np.ndarray:  # of every row: ``b``, then the block's ``h``
+        return self.b if self.vub is None else np.concatenate([self.b, self.vub.h])
+
+    def row_values(self, x: np.ndarray) -> np.ndarray:  # every row's left-hand side
+        v = self.vub
+        return self.A @ x if v is None else np.concatenate(
+            [self.A @ x, v.a * x[v.col] + v.g * x[v.key]])
+
+    def combine_rows(self, y: np.ndarray) -> np.ndarray:  # ``A'y`` over every row
+        if (v := self.vub) is None:
+            return self.A.T @ y
+        k = self.b.shape[0]
+        out = self.A.T @ y[:k]
+        out[v.col] += v.a * y[k:]
+        out[v.key] += v.g @ y[k:]
+        return out
 
 
 @dataclass(frozen=True)
@@ -133,7 +191,8 @@ class FarkasCertificate:
     nonpositive on ``>=`` rows, free on equalities), ``lower_mult`` and
     ``upper_mult`` are nonnegative weights on the finite variable bounds.
     The aggregate satisfies ``A'y - wL + wU = 0`` while the combined
-    right-hand side ``y.b - wL.lower + wU.upper`` is negative.  Normalized
+    right-hand side ``y.b - wL.lower + wU.upper`` is negative (``A``, ``b``
+    and ``y`` over every row, a declared block's last).  Normalized
     so the largest multiplier magnitude is one.
     """
 
@@ -142,11 +201,11 @@ class FarkasCertificate:
     upper_mult: np.ndarray
 
     def combination_residual(self, lp: LinearProgram) -> np.ndarray:
-        return lp.A.T @ self.row_mult - self.lower_mult + self.upper_mult
+        return lp.combine_rows(self.row_mult) - self.lower_mult + self.upper_mult
 
     def combined_rhs(self, lp: LinearProgram) -> float:
         lo, hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
-        return float(self.row_mult @ lp.b - self.lower_mult[lo] @ lp.lower[lo]
+        return float(self.row_mult @ lp.rhs - self.lower_mult[lo] @ lp.lower[lo]
                      + self.upper_mult[hi] @ lp.upper[hi])
 
 
@@ -167,122 +226,127 @@ class LpOutcome:
 # the bounded-variable tableau
 
 
-def _implicit_rows(lp: LinearProgram, le: np.ndarray):
-    """Variable-upper-bound rows ``a x_p + g x_key <= h`` (``a > 0``): the
-    key column, the rows and their own columns ``p``, one row per own
-    column (none below ``_MIN_IMPLICIT`` candidates).  The key is the column
-    most of the two-entry ``<=`` rows share."""
-    if np.count_nonzero(le) < _MIN_IMPLICIT:  # too few ``<=`` rows: no mask needed
-        return 0, np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    nz = lp.A != 0.0
-    rows = np.flatnonzero(le & (np.count_nonzero(nz, axis=1) == 2))
-    if rows.size < _MIN_IMPLICIT:
-        return 0, rows[:0], rows[:0]
-    first = nz.argmax(axis=1)[rows]
-    last = lp.n_vars - 1 - nz[:, ::-1].argmax(axis=1)[rows]
-    key = int(np.argmax(np.bincount(np.concatenate([first, last]))))
-    own, ok = first + last - key, (first == key) | (last == key)
-    ok[ok] = lp.A[rows[ok], own[ok]] > 0.0
-    first = np.sort(np.unique(own[ok], return_index=True)[1])
-    return key, rows[ok][first], own[ok][first]
-
-
 class _Tableau:
-    """Working tableau over the explicit rows; the implicit rows stay out.
+    """Working tableau over the explicit rows; the declared block stays out.
 
     Rows 0 and 1 of ``T`` hold the reduced costs of the two phases, so a
     pivot updates them too; working row ``r`` has basic column ``basis[r]``
     with value, bounds and Bland order ``bv``, ``bl``, ``bh``, ``bo``.
     Columns: structural variables, a logical per explicit row, the shared
-    artificial.  Per column: ``x`` (value when nonbasic), ``lo``, ``hi``,
-    ``row_of`` (-1: nonbasic), ``dirn`` (+1/-1: may only rise/fall, 0: may
-    not move), ``free`` (nonbasic and free) and ``order``.
+    artificial, then zero columns kept in reserve (``nc`` are live).  Per
+    column: ``x`` (value when nonbasic), ``lo``, ``hi``, ``row_of`` (-1:
+    nonbasic), ``dirn`` (+1/-1: may only rise/fall, 0: may not move),
+    ``free`` (nonbasic and free) and ``order``.
 
     Implicit row ``i`` shares ``x_p``'s column with its slack ``v_i``: it
     holds ``x_p`` while the row is loose and ``v_i`` while it is tight; the
-    other one is the basic representative.  Unless ``x_p`` is basic in
-    ``T`` the representative is ``c - kk[i] key``, reaching a bound at key
-    ``up[i]`` (rising) or ``down[i]`` (falling).  A row with only the key
-    left to represent it joins ``T`` for good, ``v_i`` in column
-    ``spare[i]``.
+    other one is the basic representative.  ``loose`` maps each working row
+    whose basic column is a loose row's ``x_p`` to that row.  Otherwise the
+    representative is ``c - kk[i] key``, reaching a bound at key ``up[i]``
+    (rising) or ``down[i]`` (falling).  A row with only the key left to
+    represent it joins ``T`` for good, ``v_i`` in column ``spare[i]``, and
+    its ``x_p`` becomes an ordinary column (``own`` -1).
     """
 
     def __init__(self, lp: LinearProgram, pivot_tol: float):
         self.pivot_tol, self.iterations = pivot_tol, 0
-        A, n = lp.A, lp.n_vars
-        rel = np.array(lp.rel, dtype="<U2")  # masks of the <= and >= rows, kept for the checks
-        self.le, self.ge = le, ge = rel == LE, rel == GE
-        x0 = np.where(np.isfinite(lp.lower), lp.lower,
-                      np.where(np.isfinite(lp.upper), lp.upper, 0.0))
-        key, vrows, vp = _implicit_rows(lp, le)
-        if vrows.size:
-            va, vg, c = A[vrows, vp], A[vrows, key], lp.b[vrows] - A[vrows, vp] * x0[vp]
-            ok = c - vg * x0[key] >= 0.0  # a row the starting point violates stays explicit
-            vrows, vp, va, vg, c = vrows[ok], vp[ok], va[ok], vg[ok], c[ok]
-        self.nv = nv = vrows.size
-        R = np.delete(np.arange(lp.n_rows), vrows) if nv else np.arange(lp.n_rows)
-        nr, ncols, cap = R.size, n + R.size + 1, R.size + 4
+        A, b, n, vub = lp.A, lp.b, lp.n_vars, lp.vub
+        rel = np.array(lp.rel, dtype="<U2")
+        le, ge = rel == LE, rel == GE
+        fin_lo, fin_hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+        x0 = np.where(fin_lo, lp.lower, np.where(fin_hi, lp.upper, 0.0))
+        nv, R, reserve, self.le, self.ge = 0, None, 0, le, ge  # masks kept for the checks
+        if vub is not None:
+            key, vp, va, vg, vh, k = vub.key, vub.col, vub.a, vub.g, vub.h, b.shape[0]
+            self.le = np.concatenate([le, np.ones(vp.shape[0], dtype=bool)])
+            self.ge = np.concatenate([ge, np.zeros(vp.shape[0], dtype=bool)])
+            c = vh - va * x0[vp]
+            ok = c - vg * x0[key] >= 0.0
+            if not ok.all():  # a row the starting point violates joins the tableau
+                bad = np.flatnonzero(~ok)
+                rows = np.zeros((bad.size, n))
+                rows[np.arange(bad.size), vp[bad]], rows[:, key] = va[bad], vg[bad]
+                A, b, R = np.vstack([A, rows]), np.concatenate([b, vh[bad]]), np.r_[:k, k + bad]
+                le, ge = self.le[R], self.ge[R]
+                vp, va, vg, vh, c = vp[ok], va[ok], vg[ok], vh[ok], c[ok]
+            # the program's rows that stay implicit
+            self.vrows = slice(k, k + vp.shape[0]) if R is None else k + np.flatnonzero(ok)
+            nv, reserve = vp.shape[0], 2
+        self.nv, nr = nv, b.shape[0]
+        ncols, cap = n + nr + 1, nr + 4
         if 8 * cap * ncols > _MAX_TABLEAU_BYTES:
             raise NumericalFailureError(
                 f"LP too large for the dense kernel: a {nr} x {ncols} working tableau "
                 f"exceeds {_MAX_TABLEAU_BYTES // 2 ** 20} MiB")
+        width, cap = ncols + reserve, cap + reserve
         # explicit rows, oriented so the logical is +1 and at a feasible level
-        eq, AR = ~(le | ge)[R], A[R]
-        resid = lp.b[R] - AR @ x0
-        o = np.where(ge[R] | (eq & (resid < 0.0)), -1.0, 1.0)
+        eq = ~(le | ge)
+        resid = b - A @ x0
+        o = np.where(ge | (eq & (resid < 0.0)), -1.0, 1.0)
         rho = o * resid
         lcol, neg = n + np.arange(nr), ~eq & (rho < 0.0)
-        self.art = np.zeros(ncols, dtype=bool)
-        self.art[lcol[eq]] = self.art[-1] = True
-        self.T = T = np.zeros((cap, ncols))
-        T[2:nr + 2, :n] = AR * o[:, None]
+        self.art = np.zeros(width, dtype=bool)
+        self.art[lcol[eq]] = self.art[ncols - 1] = True
+        self.T = T = np.zeros((cap, width))
+        T[2:nr + 2, :n] = A * o[:, None]
         T[np.arange(2, nr + 2), lcol] = 1.0
-        T[2:nr + 2, -1] = -neg.astype(float)
+        T[2:nr + 2, ncols - 1] = -neg.astype(float)
         T[0] = T[2:nr + 2][eq].sum(axis=0) - self.art  # artificials cost -1 in phase one
         T[1, :n] = lp.c
-        self.n, self.nr, self.R, self.o = n, nr, R, o
-        pad = np.zeros(ncols - n)
-        self.x, self.lo = np.concatenate([x0, pad]), np.concatenate([lp.lower, pad])
-        self.hi = np.concatenate([lp.upper, pad + math.inf])
-        self.dirn = np.concatenate([np.where(x0 < lp.upper, 1.0, -1.0 * (x0 > lp.lower)), pad])
-        self.free = np.concatenate([~np.isfinite(lp.lower) & ~np.isfinite(lp.upper), pad > 0])
+        self.n, self.nr, self.nr0, self.nc, self.o = n, nr, nr, ncols, o
+        self.R = slice(0, nr) if R is None else R  # the program's rows that T holds
+        self.x, self.lo, self.hi = np.zeros(width), np.zeros(width), np.full(width, math.inf)
+        self.x[:n], self.lo[:n], self.hi[:n] = x0, lp.lower, lp.upper
+        self.dirn, self.free = np.zeros(width), np.zeros(width, dtype=bool)
+        self.dirn[:n] = np.where(x0 < lp.upper, 1.0, -1.0 * (x0 > lp.lower))
+        self.free[:n] = ~(fin_lo | fin_hi)
         self.nfree = int(np.count_nonzero(self.free))
-        self.order, self.row_of = np.arange(ncols), np.full(ncols, -1)
+        self.order, self.row_of = np.arange(width), np.full(width, -1)
         self.row_of[lcol] = np.arange(2, nr + 2)
         self.basis, self.bo = np.full(cap, -1), np.zeros(cap, dtype=int)
         self.bv, self.bl, self.bh = np.zeros(cap), np.zeros(cap), np.full(cap, math.inf)
         self.basis[2:nr + 2] = self.bo[2:nr + 2] = lcol
         self.bv[2:nr + 2] = rho
         # implicit rows, state only if there are any; v_i is vbase + i in Bland's order
-        self.key, self.vp, self.vrows, self.vbase = key, vp, vrows, ncols
+        self.vbase = ncols
         if nv:
-            self.va, self.vg, self.vh = va, vg, lp.b[vrows]
+            self.key, self.vp, self.va, self.vg, self.vh = key, vp, va, vg, vh
             self.plo, self.phi = lp.lower[vp], lp.upper[vp]
-            self.own = np.full(ncols, -1)
+            # per row (p, a, g, h, lo, hi) as Python scalars, for the scalar updates
+            self.rp, self.ra, self.rg, self.rh, self.rlo, self.rhi = (
+                v.tolist() for v in (vp, va, vg, vh, self.plo, self.phi))
+            self.own = np.full(width, -1)
             self.own[vp] = np.arange(nv)
             self.tight, self.spare, self.kk = np.zeros(nv, dtype=bool), np.full(nv, -1), vg.copy()
-            self.kmax = float(np.abs(np.concatenate([vg, vg / va])).max(initial=0.0))
+            gk, ak = np.abs(vg), np.abs(vg / va)
+            self.kmax = max(float(gk.max()), float(ak.max()))
+            self.kmin = min(float(gk.min()), float(ak.min()))  # |kk| is g or g / a
+            self.loose = {}
             # the slack c - g key (g != 0) reaches 0 at key c / g
             self.up = np.where(vg > 0, c / vg, math.inf)
             self.down = np.where(vg < 0, c / vg, -math.inf)
         if neg.any():
             r = int(np.flatnonzero(neg)[np.argmin(rho[neg])])
             self.bv[2:nr + 2][neg] -= rho[r]
-            self.bv[r + 2], self.x[-1] = 0.0, -rho[r]
+            self.bv[r + 2], self.x[ncols - 1] = 0.0, -rho[r]
             self.pivot(r + 2, ncols - 1)
+
+    def row(self, i: int):  # (p, a, g, h, lo, hi) of implicit row i
+        return self.rp[i], self.ra[i], self.rg[i], self.rh[i], self.rlo[i], self.rhi[i]
 
     def value(self, j: int) -> float:
         return self.bv[self.row_of[j]] if self.row_of[j] >= 0 else self.x[j]
 
     def refresh(self, i: int):
         """Recompute the key values at which implicit row ``i`` blocks."""
-        p, a, g = self.vp[i], float(self.va[i]), float(self.vg[i])
-        if self.spare[i] >= 0 or (not self.tight[i] and self.row_of[p] >= 0):
-            self.up[i], self.down[i] = math.inf, -math.inf  # not moved by the key alone
+        p, a, g, h, lo, hi = self.row(i)
+        if self.tight[i]:  # x_p = (h - g key) / a within its bounds
+            c, k = h / a, g / a
+        elif self.row_of[p] < 0:  # v = h - a x_p - g key >= 0
+            c, k, lo, hi = h - a * self.x[p], g, 0.0, math.inf
+        else:  # not moved by the key alone
+            self.up[i], self.down[i] = math.inf, -math.inf
             return
-        # tight: x_p = (h - g key) / a within its bounds; loose: v = h - a x_p - g key >= 0
-        c, k, lo, hi = ((self.vh[i] / a, g / a, float(self.plo[i]), float(self.phi[i]))
-                        if self.tight[i] else (self.vh[i] - a * self.x[p], g, 0.0, math.inf))
         self.up[i], self.down[i] = (c - (lo if k > 0 else hi)) / k, (c - (hi if k > 0 else lo)) / k
 
     # -- basis changes --------------------------------------------------------
@@ -292,14 +356,18 @@ class _Tableau:
         blocks of rows whose temporaries stay under ``_BLOCK_BYTES``."""
         T = self.T[: self.nr + 2]
         T[r] /= T[r, j]
-        col, pivot_row = T[:, j].copy(), T[r].copy()
+        col = T[:, j].copy()
         col[r] = 0.0
-        rows = col.nonzero()[0]
-        every = rows.size * 2 >= col.size
-        size = max(1, _BLOCK_BYTES // (8 * pivot_row.size))
-        for s in range(0, col.size if every else rows.size, size):
-            block = slice(s, s + size) if every else rows[s:s + size]
-            T[block] -= col[block, None] * pivot_row
+        every = np.count_nonzero(col) * 2 >= col.size  # else only the rows col reaches
+        size = max(1, _BLOCK_BYTES // (8 * T.shape[1]))
+        if size >= col.size:  # one block: the update is computed before T changes
+            np.subtract(T, col[:, None] * T[r], out=T,
+                        where=True if every else (col != 0.0)[:, None])
+        else:
+            rows, pivot_row = col.nonzero()[0], T[r].copy()
+            for s in range(0, col.size if every else rows.size, size):
+                block = slice(s, s + size) if every else rows[s:s + size]
+                T[block] -= col[block, None] * pivot_row
         T[:, j], T[r, j] = 0.0, 1.0
 
     def pivot(self, r: int, j: int, leaving: bool = True):
@@ -314,10 +382,15 @@ class _Tableau:
         self.basis[r], self.row_of[j], self.dirn[j] = j, r, 0.0
         self.bv[r], self.bl[r] = self.x[j], self.lo[j]
         self.bh[r], self.bo[r] = self.hi[j], self.order[j]
-        self.nfree, self.free[j] = self.nfree - self.free[j], False
-        for col in ((j, out) if leaving else (j,)) if self.nv else ():
-            if self.own[col] >= 0:  # an implicit row's shared column moved
-                self.refresh(self.own[col])
+        if self.nfree:
+            self.nfree, self.free[j] = self.nfree - self.free[j], False
+        if self.nv:  # an implicit row's shared column moved
+            self.loose.pop(r, None)
+            if (i := self.own[j]) >= 0:
+                self.loose[r] = i
+                self.refresh(i)
+            if leaving and (i := self.own[out]) >= 0:
+                self.refresh(i)
         self.iterations += 1
 
     def release(self, j: int):
@@ -330,26 +403,29 @@ class _Tableau:
         substituting ``x_p = (h - g key - v_i) / a`` in every row of ``T``.
         If the column is basic in row ``r`` of ``T``: tightening leaves ``r``
         without a basic column; loosening makes ``x_p`` basic there."""
-        p, a, g = self.vp[i], self.va[i], self.vg[i]
-        T, r = self.T[: self.nr + 2], self.row_of[p]
+        p, a, g, h, lo, hi = self.row(i)
+        T, r, key = self.T[: self.nr + 2], self.row_of[p], self.key
         if r >= 0 and not tight:
-            self.bv[r] = (self.vh[i] - g * self.value(self.key) - self.bv[r]) / a
-        tau = T[:, p].copy()
-        T[:, self.key] -= (g / a if tight else g) * tau
-        T[:, p] = tau / -a if tight else -a * tau
-        if self.row_of[self.key] >= 0:
-            self.eliminate(self.row_of[self.key], self.key)
+            self.bv[r] = (h - g * self.value(key) - self.bv[r]) / a
+        tau = T[:, p]
+        T[:, key] -= (g / a if tight else g) * tau
+        (np.divide if tight else np.multiply)(tau, -a, out=tau)
+        if self.row_of[key] >= 0:
+            self.eliminate(self.row_of[key], key)
         self.tight[i], self.kk[i] = tight, g / a if tight else g
         if tight:
             self.x[p], self.lo[p], self.hi[p], self.order[p] = 0.0, 0.0, math.inf, self.vbase + i
-            self.row_of[p] = -1
-            self.release(p)
-            self.nfree, self.free[p] = self.nfree - self.free[p], False
-        else:
-            self.lo[p], self.hi[p], self.order[p] = self.plo[i], self.phi[i], p
             if r >= 0:
-                self.T[r] /= self.T[r, p]
-                self.bl[r], self.bh[r], self.bo[r] = self.plo[i], self.phi[i], p
+                self.row_of[p] = -1
+                del self.loose[r]
+            self.dirn[p] = 1.0
+            if self.nfree:
+                self.nfree, self.free[p] = self.nfree - self.free[p], False
+        else:
+            self.lo[p], self.hi[p], self.order[p] = lo, hi, p
+            if r >= 0:
+                T[r] /= T[r, p]
+                self.bl[r], self.bh[r], self.bo[r] = lo, hi, p
             else:
                 self.x[p] = rest
                 self.release(p)
@@ -358,36 +434,44 @@ class _Tableau:
     def make_explicit(self, i: int) -> int:
         """Move implicit row ``i`` into ``T`` for good, its slack in a new
         column and its representative basic; returns its row."""
-        p, a, g, kv = self.vp[i], self.va[i], self.vg[i], self.value(self.key)
-        value = ((self.vh[i] - g * kv - self.x[p]) / a if self.tight[i]
-                 else self.vh[i] - a * self.value(p) - g * kv)
-        r, s = self.nr + 2, self.T.shape[1]
-        grow = 4 * (r == self.T.shape[0])
-        self.T = np.pad(self.T, ((0, grow), (0, 1)))
-        for name, v, count in (
-                ("basis", -1, grow), ("bo", 0, grow), ("bv", 0.0, grow), ("bl", 0.0, grow),
-                ("bh", math.inf, grow), ("x", 0.0, 1), ("lo", 0.0, 1), ("hi", math.inf, 1),
-                ("dirn", 0.0, 1), ("free", False, 1), ("order", self.vbase + i, 1),
-                ("row_of", -1, 1), ("art", False, 1), ("own", -1, 1)):
-            arr = getattr(self, name)
-            setattr(self, name, np.concatenate([arr, np.full(count, v, dtype=arr.dtype)]))
+        p, a, g, h, lo, hi = self.row(i)
+        kv, key = self.value(self.key), self.key
+        value = ((h - g * kv - self.x[p]) / a if self.tight[i]
+                 else h - a * self.value(p) - g * kv)
+        r, s = self.nr + 2, self.nc
+        if r == self.T.shape[0] or s == self.T.shape[1]:
+            self.grow(4)
+        T = self.T
+        T[:, s], self.nc, self.order[s], self.own[p] = 0.0, s + 1, self.vbase + i, -1
+        if self.row_of[p] >= 0:
+            self.loose.pop(self.row_of[p], None)
         rep = s
         if self.tight[i]:  # v_i moves to the new column, x_p takes its own back
-            self.x[s], self.T[:, s], self.T[:, p] = self.x[p], self.T[:, p], 0.0
+            self.x[s], T[:, s], T[:, p] = self.x[p], T[:, p], 0.0
             self.release(s)
-            self.lo[p], self.hi[p], self.order[p] = self.plo[i], self.phi[i], p
+            self.lo[p], self.hi[p], self.order[p] = lo, hi, p
             self.dirn[p], rep = 0.0, p
-        row = np.zeros(s + 1)
-        row[p], row[self.key], row[s] = a, g, 1.0
-        for j in (p, self.key):
+        row = np.zeros(T.shape[1])
+        row[p], row[key], row[s] = a, g, 1.0
+        for j in (p, key):
             if self.row_of[j] >= 0:
-                row -= row[j] * self.T[self.row_of[j]]
-        self.T[r] = row / row[rep]
+                row -= row[j] * T[self.row_of[j]]
+        T[r] = row / row[rep]
         self.basis[r], self.row_of[rep], self.nr, self.spare[i] = rep, r, self.nr + 1, s
         self.bv[r], self.bl[r] = value, self.lo[rep]
         self.bh[r], self.bo[r] = self.hi[rep], self.order[rep]
-        self.refresh(i)
+        self.up[i], self.down[i] = math.inf, -math.inf
         return r
+
+    def grow(self, more: int):
+        """Add ``more`` rows and columns of reserve to ``T`` and its arrays."""
+        self.T = np.pad(self.T, ((0, more), (0, more)))
+        for name, v in (("basis", -1), ("bo", 0), ("bv", 0.0), ("bl", 0.0), ("bh", math.inf),
+                        ("x", 0.0), ("lo", 0.0), ("hi", math.inf), ("dirn", 0.0),
+                        ("free", False), ("order", 0), ("row_of", -1), ("art", False),
+                        ("own", -1)):
+            arr = getattr(self, name)
+            setattr(self, name, np.concatenate([arr, np.full(more, v, dtype=arr.dtype)]))
 
     # -- one iteration ----------------------------------------------------------
 
@@ -397,38 +481,41 @@ class _Tableau:
         bound ("flip"), row ``where`` of ``T`` ("row") or implicit row
         ``where`` ("imp"), or None; ``rb``, ``rk`` are the rates of the rows'
         basic columns and of the key.  Ties go to the first in Bland's order."""
-        nr, key = self.nr, self.key
+        nr = self.nr
         rb = self.T[2:nr + 2, j] * -delta
         mag = np.abs(rb)
         floor = max(self.pivot_tol, _REL_PIVOT * float(np.maximum.reduce(mag, initial=0.0)))
-        rk, kv, best = 0.0, 0.0, math.inf
-        if self.nv:  # (order, rate, value, lo, hi, row) of rows moving with more than the key
+        rk, best = 0.0, math.inf
+        if self.nv:  # (order, rate, value, lo, hi, row) of the representatives that move
+            # with more than the key: v = h - a x_p - g key of the loose rows whose x_p is
+            # basic, then the row sharing j's column (mine)
+            key, vbase, bv, mine = self.key, self.vbase, self.bv, self.own[j]
             rk = delta if key == j else rb[self.row_of[key] - 2] if self.row_of[key] >= 0 else 0.0
-            kv, mine, single = self.value(key), -1, []
-            oi = self.own[self.basis[2:nr + 2]]
-            for t in np.flatnonzero(oi >= 0):  # loose, x_p basic: v = h - a x_p - g key
-                if self.spare[h := oi[t]] < 0:
-                    a, g = self.va[h], self.vg[h]
-                    single.append((self.vbase + h, -(a * rb[t] + g * rk),
-                                   self.vh[h] - a * self.bv[t + 2] - g * kv, 0.0, math.inf, h))
-            i = self.own[j]
-            if i >= 0 and self.spare[i] < 0:  # the row sharing j's column
-                mine, a, g, h = i, self.va[i], self.vg[i], self.vh[i]
-                single.append((self.vp[i], -(g * rk + delta) / a, (h - g * kv - self.x[j]) / a,
-                               self.plo[i], self.phi[i], i) if self.tight[i] else
-                              (self.vbase + i, -(a * delta + g * rk), h - a * self.x[j] - g * kv,
-                               0.0, math.inf, i))
-            rates = [self.kmax * abs(rk)] + [abs(t[1]) for t in single]
-            floor = max(floor, _REL_PIVOT * max(rates))
-            picks = [(o, (e - v) / r, ("imp", row, e)) for o, r, v, low, high, row in single
-                     if abs(r) > floor for e in (high if r > 0 else low,)]
+            kv = self.value(key)
+            picks = [(vbase + i, -(self.ra[i] * rb[t - 2] + self.rg[i] * rk),
+                      self.rh[i] - self.ra[i] * bv[t] - self.rg[i] * kv, 0.0, math.inf, i)
+                     for t, i in self.loose.items()]
+            if mine >= 0:
+                p, a, g, h, lo, hi = self.row(mine)
+                picks.append((p, -(g * rk + delta) / a, (h - g * kv - self.x[j]) / a, lo, hi, mine)
+                             if self.tight[mine] else
+                             (vbase + mine, -(a * delta + g * rk), h - a * self.x[j] - g * kv,
+                              0.0, math.inf, mine))
+            floor = max(floor, _REL_PIVOT * max([self.kmax * abs(rk)] + [abs(t[1]) for t in picks]))
+            # (order, step, block) of the rows whose representative moves with more than the key
+            picks = [(o, (e - v) / r, ("imp", i, e)) for o, r, v, lo, hi, i in picks
+                     if abs(r) > floor for e in (hi if r > 0 else lo,)]
             best = min([best] + [t[1] for t in picks])
             if rk != 0.0:  # rows moved by the key alone stop at fixed key values
-                drive = np.where(np.abs(self.kk) > floor / abs(rk),
-                                 self.up if rk > 0 else self.down, math.inf * rk)
+                drive = self.up if rk > 0 else self.down
+                if self.kmin <= floor / abs(rk):
+                    drive = np.where(np.abs(self.kk) > floor / abs(rk), drive, math.inf * rk)
+                elif mine >= 0:
+                    drive = drive.copy()
                 if mine >= 0:
                     drive[mine] = math.inf * rk
-                best = min(best, (float(drive.min() if rk > 0 else drive.max()) - kv) / rk)
+                dk = float(np.minimum.reduce(drive) if rk > 0 else np.maximum.reduce(drive))
+                best = min(best, (dk - kv) / rk)
         lim = np.where(rb > 0.0, self.bh[2:nr + 2], self.bl[2:nr + 2])
         room = np.empty(nr)
         room.fill(math.inf)
@@ -446,16 +533,19 @@ class _Tableau:
             if self.bo[c + 2] < o:
                 o, step, block = self.bo[c + 2], room[c], ("row", c + 2, lim[c])
         if self.nv:
-            o, step, block = min([t for t in picks if t[1] <= tie] + [(o, step, block)],
-                                 key=lambda t: t[0])
-            if rk != 0.0:  # the row first in Bland's order that the key alone blocks
-                cand = np.flatnonzero(drive <= kv + tie * rk if rk > 0 else drive >= kv + tie * rk)
+            for t in picks:
+                if t[1] <= tie and t[0] < o:
+                    o, step, block = t
+            reach = kv + tie * rk
+            if rk != 0.0 and (dk <= reach if rk > 0 else dk >= reach):
+                # the row first in Bland's order that the key alone blocks
+                cand = np.flatnonzero(drive <= reach if rk > 0 else drive >= reach)
                 order = np.where(self.tight[cand], self.vp[cand], self.vbase + cand)
-                if cand.size and order[k := int(np.argmin(order))] < o:
+                if order[k := int(np.argmin(order))] < o:
                     c = int(cand[k])
-                    low, high = (self.plo[c], self.phi[c]) if self.tight[c] else (0.0, math.inf)
+                    lo, hi = (self.plo[c], self.phi[c]) if self.tight[c] else (0.0, math.inf)
                     o, step = order[k], (drive[c] - kv) / rk
-                    block = ("imp", c, low if self.kk[c] * rk > 0 else high)
+                    block = ("imp", c, lo if self.kk[c] * rk > 0 else hi)
         return max(step, 0.0), block, rb, rk
 
     def run_phase(self, phase: int, dual_tol: float, max_iter: int) -> str:
@@ -480,11 +570,11 @@ class _Tableau:
             self.x[j] += delta * step
             self.bv[2:self.nr + 2] += step * rb
             i, (kind, where, hit) = self.own[j] if self.nv else -1, block
-            mine = i >= 0 and self.spare[i] < 0
+            mine = i >= 0
             if kind == "flip":
                 self.x[j] = hit
                 self.release(j)
-                if i >= 0:
+                if mine:
                     self.refresh(i)
                 self.iterations += 1
             elif kind == "imp" and mine and where == i:  # the two sharing j's column swap
@@ -525,7 +615,7 @@ class _Tableau:
 
     def duals(self, phase: int, lp: LinearProgram) -> np.ndarray:
         """Duals of the program's rows, read off their logical columns."""
-        z, y, lcol = self.T[phase], np.zeros(lp.n_rows), slice(self.n, self.n + self.R.size)
+        z, y, lcol = self.T[phase], np.zeros(lp.n_rows), slice(self.n, self.n + self.nr0)
         y[self.R] = self.o * ((-1.0 * self.art[lcol] if phase == 0 else 0.0) - z[lcol])
         if self.nv:
             vcol = np.where(self.spare >= 0, self.spare, self.vp)
@@ -541,7 +631,7 @@ class _Tableau:
         if self.nv:
             t, i = self.tight & (self.spare < 0), self.own[j]
             d[self.vp[t]] = -self.kk[t] * rk
-            if i >= 0 and self.spare[i] < 0 and self.tight[i]:
+            if i >= 0 and self.tight[i]:
                 d[j] = -(self.vg[i] * rk + delta) / self.va[i]
         return d[: self.n]
 
@@ -583,7 +673,7 @@ def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
                 max_iter: int | None) -> LpOutcome:
     tb, scale = _Tableau(lp, pivot_tol), _data_scale(lp)
     vt = 50.0 * tol * scale  # the acceptance threshold of every post-hoc check
-    max_iter = 2000 + 20 * (tb.nr + tb.x.size) if max_iter is None else max_iter
+    max_iter = 2000 + 20 * (tb.nr + tb.nc) if max_iter is None else max_iter
 
     def failure(message: str) -> LpOutcome:
         return LpOutcome(LpStatus.NUMERICAL_FAILURE, message=message, iterations=tb.iterations)
@@ -626,7 +716,7 @@ def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
         return failure("artificial variable stuck at a nonzero level")
     value = float(lp.c @ x)
     y = tb.duals(1, lp)
-    reduced = lp.c - lp.A.T @ y
+    reduced = lp.c - lp.combine_rows(y)
     err = _check_optimal(lp, tb.le, tb.ge, x, y, reduced, value, vt)
     return failure(err) if err else LpOutcome(LpStatus.OPTIMAL, x=x, value=value, y=y,
                                               reduced_costs=reduced, iterations=tb.iterations)
@@ -640,13 +730,15 @@ def _data_scale(lp: LinearProgram) -> float:
     """Largest coefficient, right-hand side or objective entry (at least 1):
     the scale of every acceptance threshold.  Variable bounds take no part,
     so a large bound loosens no check."""
+    blk = lp.vub
     return max([1.0] + [max(np.maximum.reduce(v, axis=None), -np.minimum.reduce(v, axis=None))
-                        for v in (lp.A, lp.b, lp.c) if v.size])
+                        for v in (lp.A, lp.b, lp.c) + (() if blk is None else (blk.a, blk.g, blk.h))
+                        if v.size])
 
 
-def _residuals(lp: LinearProgram, le, ge, x: np.ndarray):
+def _residuals(lp: LinearProgram, le, ge, x: np.ndarray, rhs: np.ndarray):
     """Largest row or bound violation at ``x`` (NaN if any), ``x - lower``, ``upper - x``."""
-    d = lp.A @ x - lp.b
+    d = lp.row_values(x) - rhs
     lo_gap, hi_gap = x - lp.lower, lp.upper - x
     rows = np.where(le, d, np.where(ge, -d, np.abs(d)))
     return float(np.concatenate([rows, -lo_gap, -hi_gap]).max(initial=0.0)), lo_gap, hi_gap
@@ -658,28 +750,31 @@ def _first(checks) -> str:
 
 
 def _check_optimal(lp: LinearProgram, le, ge, x, y, r, value, vt) -> str:
-    violation, lo_gap, hi_gap = _residuals(lp, le, ge, x)
+    rhs = lp.rhs
+    violation, lo_gap, hi_gap = _residuals(lp, le, ge, x, rhs)
     band = vt * np.maximum(1.0, np.abs(x))
     at_lo, at_hi = lo_gap <= band, hi_gap <= band
     wL = np.where(at_lo, np.maximum(-r, 0.0), 0.0)
     wU = np.where(at_hi, np.maximum(r, 0.0), 0.0)
-    dual_value = (float(y @ lp.b) - float(wL @ np.where(at_lo, lp.lower, 0.0))
+    dual_value = (float(y @ rhs) - float(wL @ np.where(at_lo, lp.lower, 0.0))
                   + float(wU @ np.where(at_hi, lp.upper, 0.0)))
-    return _first([
+    least, most = (lambda v, where: np.minimum.reduce(v, where=where, initial=math.inf),
+                   lambda v, where: np.maximum.reduce(v, where=where, initial=-math.inf))
+    return _first([  # a NaN fails every check
         (violation <= vt, "optimal point violates a constraint beyond tolerance"),
-        ((y[le] >= -vt).all(), "dual sign violated on a <= row"),
-        ((y[ge] <= vt).all(), "dual sign violated on a >= row"),
-        ((r[at_lo & ~at_hi] <= vt).all(), "reduced cost has the wrong sign at a lower bound"),
-        ((r[at_hi & ~at_lo] >= -vt).all(), "reduced cost has the wrong sign at an upper bound"),
-        ((np.abs(r[~at_lo & ~at_hi]) <= vt).all(), "nonzero reduced cost on an interior variable"),
+        (least(y, le) >= -vt, "dual sign violated on a <= row"),
+        (most(y, ge) <= vt, "dual sign violated on a >= row"),
+        (most(r, at_lo & ~at_hi) <= vt, "reduced cost has the wrong sign at a lower bound"),
+        (least(r, at_hi & ~at_lo) >= -vt, "reduced cost has the wrong sign at an upper bound"),
+        (most(np.abs(r), ~(at_lo | at_hi)) <= vt, "nonzero reduced cost on an interior variable"),
         (abs(dual_value - value) <= vt * (1.0 + abs(value)),
          "primal and dual objective values disagree")])
 
 
 def _check_unbounded(lp: LinearProgram, le, ge, x, ray, tol, vt) -> str:
-    vals = lp.A @ ray
+    vals = lp.row_values(ray)
     return _first([
-        (_residuals(lp, le, ge, x)[0] <= vt, "unbounded case: the feasible point is not feasible"),
+        (_residuals(lp, le, ge, x, lp.rhs)[0] <= vt, "unbounded case: the feasible point is not feasible"),
         (np.all(vals[le] <= vt), "ray leaves a <= row"),
         (np.all(vals[ge] >= -vt), "ray leaves a >= row"),
         (np.all(np.abs(vals[~(le | ge)]) <= vt), "ray leaves an equality row"),

@@ -49,6 +49,9 @@ NOT_FOUND = "not_found"
 
 #: Smallest blend weight tried by :func:`combine_slater`.
 _MIN_BLEND = 2.0 ** -40
+#: Fewest two-sided atoms whose margin rows are declared as the LP's
+#: variable-upper-bound block: below it, tableau rows cost less per iteration.
+_MIN_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -145,29 +148,44 @@ def _margin_lp(prob: Problem, extra_rows) -> _MarginLp:
     and only a two-sided atom keeps a row, ``u_i + 2 s_i t <= hi_i``.  A row
     ``g.x`` turns into ``g.u + (g.d) t``.  So the LP has one row per
     two-sided atom, inequality, equality and extra row, and m + 1 columns.
+    From ``_MIN_BLOCK`` two-sided atoms on, their rows are declared as the
+    program's variable-upper-bound block (key column t), after the linear
+    rows; below that they are the first rows of ``A``.
     """
     m = prob.size
     scale = _bound_scales(prob)
     fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
     d = np.where(fin_lo, scale, np.where(fin_hi, -scale, 0.0))
-    two = np.nonzero(fin_lo & fin_hi)[0]
+    two = np.flatnonzero(fin_lo & fin_hi)
     C, r = weighted_rows(prob.space, [(row, rhs) for row, _, rhs in extra_rows])
     sv = np.array([s for _, s, _ in extra_rows], dtype=float)
     n2, k, e = two.size, prob.n_ineq, prob.n_eq
-    A = np.zeros((n2 + k + e + r.size, m + 1))
-    A[np.arange(n2), two] = 1.0
-    A[:n2, m] = 2.0 * scale[two]
-    for start, rows, t_coef in ((n2, prob.G_w, 0.0), (n2 + k, prob.H_w, 0.0),
-                                (n2 + k + e, C, sv)):
-        A[start:start + rows.shape[0], :m] = rows
-        A[start:start + rows.shape[0], m] = rows @ d + t_coef
-    rel = ("<=",) * (n2 + k) + ("==",) * e + ("<=",) * r.size
-    rhs = np.concatenate([prob.upper[two], prob.a, prob.b, r])
+    block = n2 >= _MIN_BLOCK
+    top = 0 if block else n2
+    A = np.zeros((top + k + e + r.size, m + 1))
+    if not block:
+        A[np.arange(n2), two] = 1.0
+        A[:n2, m] = 2.0 * scale[two]
+    for start, rows, t_coef in ((top, prob.G_w, 0.0), (top + k, prob.H_w, 0.0),
+                                (top + k + e, C, sv)):
+        if rows.shape[0]:
+            A[start:start + rows.shape[0], :m] = rows
+            A[start:start + rows.shape[0], m] = rows @ d + t_coef
+    rel = ("<=",) * (top + k) + ("==",) * e + ("<=",) * r.size
+    rhs = np.concatenate([prob.upper[two[:top]], prob.a, prob.b, r])
     c = np.zeros(m + 1)
     c[m] = 1.0
-    lo = np.append(np.where(fin_lo, prob.lower, -math.inf), 0.0)
-    hi = np.append(np.where(fin_lo, math.inf, prob.upper), 1.0)
-    return _MarginLp(lpmod.LinearProgram(c, A, rel, rhs, lo, hi), d, scale, two, C, sv, r)
+    lo = np.concatenate([np.where(fin_lo, prob.lower, -math.inf), [0.0]])
+    hi = np.concatenate([np.where(fin_lo, math.inf, prob.upper), [1.0]])
+    vub = lpmod.VubRows(m, two, np.ones(n2), 2.0 * scale[two], prob.upper[two]) if block else None
+    return _MarginLp(lpmod.LinearProgram(c, A, rel, rhs, lo, hi, vub), d, scale, two, C, sv, r)
+
+
+def _split_rows(ml: _MarginLp, v: np.ndarray):
+    """A vector over the margin LP's rows as its two-sided atoms' part and
+    the linear and extra rows' part."""
+    n2, k = ml.two.size, ml.lp.A.shape[0]
+    return (v[k:], v[:k]) if ml.lp.vub is not None else (v[:n2], v[n2:])
 
 
 def _margin_threshold(prob: Problem, ml: _MarginLp, tol: float) -> float:
@@ -201,11 +219,12 @@ def _pinning_duals(prob: Problem, ml: _MarginLp, out: lpmod.LpOutcome) -> list:
     """Row duals of the ``(x, t)`` LP: the bound multiplier of ``u_i`` on a
     lower side, the row dual (two-sided atom) or the bound multiplier
     (upper-only atom) on an upper side, then the linear and extra rows."""
-    m, n2 = prob.size, ml.two.size
+    m = prob.size
+    y_two, y_rows = _split_rows(ml, out.y)
     upper = np.maximum(out.reduced_costs[:m], 0.0)
-    upper[ml.two] = out.y[:n2]
+    upper[ml.two] = y_two
     lower = np.maximum(-out.reduced_costs[:m], 0.0)
-    return np.concatenate([_box_sides(prob, lower, upper), out.y[n2:]]).tolist()
+    return np.concatenate([_box_sides(prob, lower, upper), y_rows]).tolist()
 
 
 def _infeasibility_certificate(prob: Problem, ml: _MarginLp,
@@ -221,12 +240,13 @@ def _infeasibility_certificate(prob: Problem, ml: _MarginLp,
     NumericalFailureError
         If the mapped multipliers fail the Farkas conditions at ``vt``.
     """
-    m, n2, k, e = prob.size, ml.two.size, prob.n_ineq, prob.n_eq
+    m, k, e = prob.size, prob.n_ineq, prob.n_eq
     fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
+    y_two, y_rows = _split_rows(ml, cert.row_mult)
     y_lo = np.where(fin_lo, cert.lower_mult[:m], 0.0)
     y_hi = np.where(fin_hi, cert.upper_mult[:m], 0.0)
-    y_hi[ml.two] = cert.row_mult[:n2]
-    y_g, y_h, y_c = np.split(cert.row_mult[n2:], [k, k + e])
+    y_hi[ml.two] = y_two
+    y_g, y_h, y_c = np.split(y_rows, [k, k + e])
     w_lo, w_hi = cert.lower_mult[m], cert.upper_mult[m]
     # A'y - wL + wU, column x then column t, and the combined right-hand side
     res_x = y_hi - y_lo + prob.G_w.T @ y_g + prob.H_w.T @ y_h + ml.C.T @ y_c

@@ -9,7 +9,7 @@ import pytest
 import slaterkit.lp
 from slaterkit import (LinearProgram, LpStatus, NumericalFailureError, feasibility,
                        log_counterexample_model, recover_multipliers_linear, solve)
-from slaterkit.lp import LE, GE, EQ
+from slaterkit.lp import LE, GE, EQ, VubRows
 from slaterkit import oracles
 
 
@@ -128,9 +128,22 @@ class TestOracleAgreement:
                 assert out.farkas.combined_rhs(lp) < 0.0
 
 
+def _rows_in_A(lp):
+    """The same program with its declared block written into ``A`` after
+    the general rows, so row ``i`` of ``y`` is row ``i`` of ``A``."""
+    v = lp.vub
+    if v is None:
+        return lp
+    block = np.zeros((v.col.size, lp.n_vars))
+    block[np.arange(v.col.size), v.col], block[:, v.key] = v.a, v.g
+    return LinearProgram(lp.c, np.vstack([lp.A, block]), lp.rel + (LE,) * v.col.size,
+                         np.concatenate([lp.b, v.h]), lp.lower, lp.upper)
+
+
 def _oracle(lp):
     """Exact status and value; a free column is split in two for the
     oracle, which needs a finite bound on every variable."""
+    lp = _rows_in_A(lp)
     free = ~np.isfinite(lp.lower) & ~np.isfinite(lp.upper)
     c, A = lp.c, lp.A
     lower, upper = lp.lower.copy(), lp.upper.copy()
@@ -150,6 +163,7 @@ def _oracle(lp):
 def _verify(lp, out, tol=1e-9):
     """Re-check an outcome's evidence on the program, independently of the
     kernel's own checks."""
+    lp = _rows_in_A(lp)
     le = np.array([t == LE for t in lp.rel], dtype=bool)
     ge = np.array([t == GE for t in lp.rel], dtype=bool)
     eq = ~le & ~ge
@@ -194,22 +208,23 @@ def _verify(lp, out, tol=1e-9):
 class TestBoundedKernel:
     """Bounds that are not rows, whole free columns, implicit rows."""
 
-    def test_variable_upper_bound_rows_match_the_oracle(self, monkeypatch):
+    def test_variable_upper_bound_rows_match_the_oracle(self):
         # nv <= 3 with two-sided, one-sided and free columns, and "<=" rows
-        # a x_p + g x_key <= h that the kernel keeps out of its tableau (here
-        # however few they are)
-        monkeypatch.setattr(slaterkit.lp, "_MIN_IMPLICIT", 1)
+        # a x_p + g x_key <= h declared as the program's block, which the
+        # kernel keeps out of its tableau unless the starting point violates them
         rng = np.random.default_rng(60606)
         implicit = 0
         seen = set()
         for case in range(400):
             nv = int(rng.integers(2, 4))
             key = int(rng.integers(0, nv))
-            rows, rel, b = [], [], []
+            rows, rel, b, cols = [], [], [], []
             for p in rng.permutation([j for j in range(nv) if j != key])[:int(rng.integers(1, nv))]:
+                cols.append(p)
                 row = np.zeros(nv)
                 row[p], row[key] = rng.integers(1, 3), rng.choice([-2, -1, 1, 2])
                 rows.append(row), rel.append(LE), b.append(int(rng.integers(-2, 5)))
+            nb = len(rows)
             for _ in range(int(rng.integers(0, 3))):
                 rows.append(rng.integers(-3, 4, size=nv).astype(float))
                 rel.append(str(rng.choice([LE, GE, EQ])))
@@ -221,9 +236,14 @@ class TestBoundedKernel:
             upper[(kind == 1) | (kind == 3)] = math.inf
             seen.update(kind.tolist())
             perm = rng.permutation(len(b))
-            lp = _lp(rng.integers(-3, 4, size=nv), np.array(rows)[perm],
-                     [rel[k] for k in perm], np.array(b, dtype=float)[perm], lower, upper)
-            implicit += slaterkit.lp._Tableau(lp, 1e-11).vp.size > 0
+            blk, gen = perm[perm < nb], perm[perm >= nb]
+            rows, b = np.array(rows), np.array(b, dtype=float)
+            own = np.array(cols, dtype=int)[blk]
+            lp = LinearProgram(rng.integers(-3, 4, size=nv).astype(float),
+                               rows[gen].reshape(len(gen), nv), tuple(rel[k] for k in gen),
+                               b[gen], lower, upper,
+                               VubRows(key, own, rows[blk, own], rows[blk, key], b[blk]))
+            implicit += slaterkit.lp._Tableau(lp, 1e-11).nv > 0
             out = solve(lp)
             status, value = _oracle(lp)
             assert out.status.value == status, f"case {case}"
@@ -231,6 +251,40 @@ class TestBoundedKernel:
                 assert abs(out.value - float(value)) <= 1e-9 * max(1.0, abs(float(value)))
             _verify(lp, out)
         assert seen == {0, 1, 2, 3} and implicit > 200
+
+    def test_declared_block_matches_rows_in_A(self):
+        # the same programs with 2-64 variable-upper-bound rows declared as a
+        # block and written into A: same status and optimum, both verified
+        rng = np.random.default_rng(7171)
+        statuses = []
+        for case in range(300):
+            nb = int(rng.integers(2, 65))
+            n = nb + 1 + int(rng.integers(0, 3))
+            key = int(rng.integers(0, n))
+            cols = rng.permutation([j for j in range(n) if j != key])[:nb]
+            block = VubRows(key, cols, rng.integers(1, 3, size=nb),
+                            rng.choice([-2, -1, 1, 2], size=nb), rng.integers(0, 8, size=nb))
+            k = int(rng.integers(0, 3))
+            lower = rng.integers(-3, 2, size=n).astype(float)
+            upper = lower + rng.integers(0, 4, size=n)
+            kind = rng.choice(4, size=n, p=[0.85, 0.05, 0.05, 0.05])  # two-sided, lower, upper, free
+            lower[(kind == 2) | (kind == 3)] = -math.inf
+            upper[(kind == 1) | (kind == 3)] = math.inf
+            lp = LinearProgram(rng.integers(-3, 4, size=n).astype(float),
+                               rng.integers(-3, 4, size=(k, n)).astype(float),
+                               tuple(rng.choice([LE, GE, EQ], size=k).tolist()),
+                               rng.integers(-3, 4, size=k).astype(float), lower, upper, block)
+            dense = _rows_in_A(lp)
+            out, ref = solve(lp), solve(dense)
+            assert out.status is ref.status, f"case {case}"
+            if out.status is LpStatus.OPTIMAL:
+                assert abs(out.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
+            _verify(lp, out)
+            _verify(dense, ref)
+            statuses.append(out.status)
+        assert {s: statuses.count(s) >= 20 for s in (
+            LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED)} == dict.fromkeys(
+            (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED), True)
 
     @pytest.mark.parametrize("gap", [0.5, 1e-6])
     def test_large_bound_does_not_hide_infeasibility(self, gap):
@@ -267,6 +321,33 @@ class TestBoundedKernel:
         out = solve(lp)
         assert out.status is LpStatus.OPTIMAL and out.value == 2.0
         assert out.iterations == 1
+
+
+class TestProgramData:
+    """A program keeps read-only copies; the caller's arrays stay writable."""
+
+    def test_caller_arrays_stay_writable(self):
+        c, A, b = np.ones(3), np.ones((1, 3)), np.ones(1)
+        lower, upper = np.zeros(3), np.full(3, 4.0)
+        col, a, g, h = np.array([1, 2]), np.ones(2), np.ones(2), np.full(2, 3.0)
+        lp = LinearProgram(c, A, (LE,), b, lower, upper, VubRows(0, col, a, g, h))
+        for arr in (c, A, b, lower, upper, col, a, g, h):
+            arr[0] = 2
+        assert np.array_equal(lp.A, np.ones((1, 3))) and lp.c[0] == 1.0 and lp.vub.h[0] == 3.0
+        assert lp.vub.col[0] == 1 and lp.b[0] == 1.0 and lp.upper[0] == 4.0
+        for arr in (lp.c, lp.A, lp.b, lp.lower, lp.upper, lp.vub.col, lp.vub.a, lp.vub.g,
+                    lp.vub.h):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5
+
+    @pytest.mark.parametrize("key, col, a, g", [
+        (0, [0], [1], [1]), (3, [1], [1], [1]), (0, [3], [1], [1]), (0, [-1], [1], [1]),
+        (0, [1, 1], [1, 1], [1, 1]), (0, [1.0], [1], [1]), (0, [1], [0], [1]),
+        (0, [1], [1], [0])])
+    def test_bad_block_is_refused(self, key, col, a, g):
+        with pytest.raises(ValueError):
+            LinearProgram(np.zeros(3), np.zeros((0, 3)), (), [], np.zeros(3), np.ones(3),
+                          VubRows(key, col, a, g, np.ones(len(col))))
 
 
 class TestPivotMemory:

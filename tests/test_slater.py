@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -307,6 +308,97 @@ class TestTwoSidedScale:
             tracemalloc.stop()
         assert rep.found and rep.margin > 1e-9
         assert peak < (m + 8) * (m + 1) * 8 + 10e6
+
+
+def _planted(seed, pinned, m=128):
+    """Two-sided lattice problem with rows anchored at a point inside the box;
+    ``pinned`` adds a row that holds twelve atoms at their lower bounds."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 3, size=m).astype(float)
+    lower = rng.integers(-2, 1, size=m).astype(float)
+    upper = lower + rng.integers(1, 3, size=m)
+    x = lower + (upper - lower) * rng.choice([0.25, 0.5, 0.75], size=m)
+    ineq = []
+    if pinned:
+        S = np.sort(rng.choice(m, size=12, replace=False))
+        x[S] = lower[S]
+        g = np.zeros(m)
+        g[S] = 1.0
+        ineq.append((g, float(g * w @ x)))
+    rows = rng.integers(-2, 3, size=(6, m)).astype(float)
+    ineq += [(g, float(g * w @ x) + float(rng.integers(0, 2))) for g in rows[:4]]
+    return _prob(w, lower, upper, ineq, [(h, float(h * w @ x)) for h in rows[4:]])
+
+
+class TestBlockPath:
+    """From 100 two-sided atoms on, their margin rows are the LP's declared block."""
+
+    def test_large_search_stays_small_and_fast(self, lp_calls):
+        # M=8192 two-sided atoms, gaps 1-4, 8 rows: a dense matrix with a row
+        # per atom would take 537 MB
+        rng = np.random.default_rng(8192)
+        m = 8192
+        w = rng.integers(1, 3, size=m).astype(float)
+        lower = rng.integers(-2, 1, size=m).astype(float)
+        upper = lower + rng.integers(1, 5, size=m)
+        x = np.clip(rng.integers(-2, 3, size=m).astype(float), lower, upper)
+        rows = rng.integers(-2, 3, size=(8, m)).astype(float)
+        ineq = tuple((g, float(g * w @ x) + float(rng.integers(0, 2))) for g in rows[:6])
+        prob = _prob(w, lower, upper, ineq, tuple((h, float(h * w @ x)) for h in rows[6:]))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = find_slater(prob)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (prog,) = lp_calls
+        assert rep.found and rep.margin > 1e-9
+        assert prog.A.shape == (8, m + 1) and prog.vub.col.size == m and prog.n_rows == m + 8
+        assert peak < 20e6 and seconds < 1.0
+
+    # status, optimal_t and lp_iterations of find_slater on _planted(seed, pinned)
+    RECORDED = [(1281, False, "found", 0.932846371347785, 108),
+                (1281, True, "not_found", 0.0, 10),
+                (1282, False, "found", 0.8969223972905319, 101),
+                (1282, True, "not_found", 0.0, 8),
+                (1283, False, "found", 0.8657817109144544, 107),
+                (1283, True, "not_found", 0.0, 8)]
+
+    @pytest.mark.parametrize("seed, pinned, status, t, iterations", RECORDED)
+    def test_planted_answers_are_unchanged(self, lp_calls, seed, pinned, status, t, iterations):
+        rep = find_slater(_planted(seed, pinned))
+        assert [c.vub is not None for c in lp_calls] == [True]
+        assert rep.status == status and abs(rep.optimal_t - t) <= 1e-12
+        assert rep.diagnostics["lp_iterations"] == iterations
+
+    @pytest.mark.parametrize("seed", [1281, 1282, 1283])
+    def test_pinning_duals_are_reference_duals(self, seed):
+        prob = _planted(seed, True)
+        rep = find_slater(prob)
+        ref = _reference_lp(prob)
+        y = np.array(rep.diagnostics["pinning_duals"])
+        le = np.array([t == "<=" for t in ref.rel])
+        assert y.shape == (ref.n_rows,) and np.all(y[le] >= -1e-9)
+        np.testing.assert_allclose(ref.A[:, :-1].T @ y, 0.0, atol=1e-7)
+        assert ref.A[:, -1] @ y >= 1.0 - 1e-7 and abs(ref.b @ y - rep.optimal_t) <= 1e-7
+
+    def test_infeasibility_certificate_verifies_on_reference(self):
+        prob = _planted(1284, False)
+        g = np.zeros(prob.size)
+        g[:3] = 1.0
+        # the first three atoms below their lower bounds: nothing is feasible
+        empty = Problem(prob.space, prob.p, prob.lower, prob.upper, prob.ineq + (
+            (g, pairing(prob.space, g, prob.lower) - 1.0),), prob.eq)
+        rep = find_slater(empty)
+        assert not rep.found and rep.optimal_t is None
+        ref = _reference_lp(empty)
+        cert = lp.FarkasCertificate(*(np.array(rep.diagnostics["infeasibility_certificate"][k])
+                                      for k in ("row_mult", "lower_mult", "upper_mult")))
+        assert np.max(np.abs(cert.combination_residual(ref))) <= 1e-9
+        assert cert.combined_rhs(ref) < -1e-9
+        assert np.all(cert.row_mult[np.array([t == "<=" for t in ref.rel])] >= -1e-9)
 
 
 class TestDensityConstruction:
