@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
+from .cones import _sign_residual, _sign_rows
 from .errors import (
     CertificateNotFoundError,
     InfeasiblePointError,
@@ -26,8 +27,11 @@ from .model import (
     DEFAULT_TOL,
     MeasureSpace,
     Problem,
+    RegionPartition,
+    _as_vector,
+    _linear_violations,
+    _pinched,
     bound_activity,
-    check_feasible,
     row_activity,
 )
 from .preprocess import MfcqSystem, build_mfcq_system
@@ -105,7 +109,7 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
         If no candidate clears the tolerance.  This is a numerical report;
         it does not assert that an interior point exists.
     """
-    if (prob.upper - prob.lower <= 2 * tol).any():
+    if _pinched(prob, tol).any():
         raise PreconditionError(
             "bounds pinch some atom; certificates require a box with volume")
     report = slater_report if slater_report is not None else find_slater(prob, tol)
@@ -117,12 +121,10 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
             "no feasible point exists; emptiness needs no density certificate")
     if xbar is None:
         xbar = report.feasible_point
-    xbar = np.asarray(xbar, dtype=float)
-    feas = check_feasible(
-        Problem(prob.space, prob.p, prob.lower, prob.upper, prob.ineq, prob.eq),
-        xbar, max(tol, 1e2 * tol))
-    if not feas:
-        worst = feas.violations[0]
+    xbar = _as_vector(xbar, prob.size, "x")
+    bad = _linear_violations(prob, xbar, max(tol, 1e2 * tol))
+    if bad:
+        worst = bad[0]
         raise InfeasiblePointError(
             f"base point is infeasible: {worst.kind}[{worst.index}] off by "
             f"{worst.residual:.3g}")
@@ -135,9 +137,9 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     slopes = [system.ineq[i][0] for i in active] + [h for h, _ in system.eq]
     cols = np.array(slopes, dtype=float).reshape(-1, prob.size).T
     wcols = np.vstack([system.G_w[active], system.H_w]).T
-    both, lo_only, hi_only, interior = bound_activity(prob, xbar, tol)
+    part = RegionPartition(*bound_activity(prob, xbar, tol))
 
-    v = _certificate_lp(cols, wcols, both, lo_only, hi_only, n_lam, tol)
+    v = _certificate_lp(cols, wcols, part, n_lam, tol)
     if v is None:
         raise CertificateNotFoundError(
             "no certificate cleared the working tolerance; this reports a "
@@ -151,12 +153,7 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     lam_vec = v[:n_lam] / norm
     mu_vec = v[n_lam:] / norm
 
-    sign_res = max(
-        float(np.max(-zeta[lo_only], initial=0.0)),
-        float(np.max(zeta[hi_only], initial=0.0)),
-        float(np.max(np.abs(zeta[interior]), initial=0.0)),
-        max((-v for v in lam_vec), default=0.0),
-    )
+    sign_res = max(_sign_residual(part, -zeta), max((-v for v in lam_vec), default=0.0))
     comb = zeta - cols @ np.concatenate([lam_vec, mu_vec])
     comb_res = float(np.max(np.abs(comb), initial=0.0))
     support_pos = tuple(int(i) for i in np.nonzero(zeta > tol)[0])
@@ -174,7 +171,7 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     return cert
 
 
-def _certificate_lp(cols, wcols, both, lo_only, hi_only, n_lam, tol):
+def _certificate_lp(cols, wcols, part, n_lam, tol):
     """One LP for the weights ``v = (lam, mu)`` of the density ``cols @ v``.
 
     Sign rows, one per atom not squeezed onto both bounds, ask the density
@@ -190,13 +187,11 @@ def _certificate_lp(cols, wcols, both, lo_only, hi_only, n_lam, tol):
     nv = wcols.shape[1]
     if nv == 0:
         return None
-    atoms = np.nonzero(~both)[0]
-    rel = np.where(lo_only, ">=", np.where(hi_only, "<=", "=="))[atoms]
-    c = (lo_only.astype(float) - hi_only) @ cols
+    atoms, rel = _sign_rows(part)
+    c = (part.lower_only.astype(float) - part.upper_only) @ cols
     lo = np.concatenate([np.zeros(n_lam), -np.ones(nv - n_lam)])
     out = lpmod.solve(lpmod.LinearProgram(
-        c, wcols[atoms], tuple(rel.tolist()), np.zeros(atoms.size), lo, np.ones(nv)),
-        tol=tol)
+        c, wcols[atoms], rel, np.zeros(atoms.size), lo, np.ones(nv)), tol=tol)
     if out.status is not lpmod.LpStatus.OPTIMAL or out.value <= tol:
         return None
     return out.x

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import InfeasiblePointError, NumericalFailureError, PreconditionError
-from .model import DEFAULT_TOL, Problem, bound_activity, pairing, regions, row_activity
+from .model import (DEFAULT_TOL, Problem, RegionPartition, bound_activity, pairing, regions,
+                    row_activity)
 
 __all__ = [
-    "Decomposition",
+    "Multipliers",
     "SumMembership",
     "tangent_K_contains",
     "radial_K_witness",
@@ -52,18 +53,52 @@ def _require_in_poly(prob: Problem, x: np.ndarray, tol: float):
         raise InfeasiblePointError(f"equality {bad[0]} violated")
 
 
+def _sign_residual(part: RegionPartition, zeta: np.ndarray) -> float:
+    """Worst breach of the multiplier sign pattern: ``zeta <= 0`` where only
+    the lower bound is active, ``>= 0`` where only the upper bound is, ``= 0``
+    on free atoms, free on both bounds.  A certificate density has the
+    opposite pattern: its residual is that of ``-zeta``.  NaN gives NaN."""
+    return float(np.max(np.concatenate([
+        zeta[part.lower_only], -zeta[part.upper_only], np.abs(zeta[part.free])]),
+        initial=0.0))
+
+
+def _sign_rows(part: RegionPartition) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The sign pattern as LP rows ``slopes . v  rel  rhs`` over the atoms not
+    on both bounds: ``rhs - slopes . v`` is then a multiplier density, and
+    ``slopes . v`` with ``rhs = 0`` a certificate density."""
+    atoms = np.flatnonzero(~part.both)
+    rel = np.where(part.lower_only, ">=", np.where(part.upper_only, "<=", "=="))[atoms]
+    return atoms, tuple(rel.tolist())
+
+
+def _split(part: RegionPartition, zeta: np.ndarray):
+    """``zeta`` forced onto the multiplier sign pattern, and its nonnegative
+    lower and upper parts (on both bounds the sign picks the side)."""
+    out = zeta.copy()
+    out[part.lower_only] = np.minimum(out[part.lower_only], 0.0)
+    out[part.upper_only] = np.maximum(out[part.upper_only], 0.0)
+    out[part.free] = 0.0
+    lower = np.where(part.lower_only | part.both, np.maximum(-out, 0.0), 0.0)
+    upper = np.where(part.upper_only | part.both, np.maximum(out, 0.0), 0.0)
+    return out, lower, upper
+
+
+def _box_partition(prob: Problem, x: np.ndarray, tol: float) -> RegionPartition:
+    """Bound activity at a box point, with no constraint sets."""
+    _require_in_box(prob, x, tol)
+    return RegionPartition(*bound_activity(prob, x, tol))
+
+
 def tangent_K_contains(prob: Problem, x, h, tol: float = DEFAULT_TOL) -> bool:
     """Direction test for the box: h >= 0 where the lower bound is active,
     h <= 0 where the upper bound is active (within tol)."""
     x = _vec(prob, x, "x")
     h = _vec(prob, h, "h")
-    _require_in_box(prob, x, tol)
-    both, lower_only, upper_only, _ = bound_activity(prob, x, tol)
-    if np.any(h[lower_only | both] < -tol):
+    part = _box_partition(prob, x, tol)
+    if np.any(h[part.lower_only | part.both] < -tol):
         return False
-    if np.any(h[upper_only | both] > tol):
-        return False
-    return True
+    return not np.any(h[part.upper_only | part.both] > tol)
 
 
 def radial_K_witness(prob: Problem, x, h) -> float | None:
@@ -100,15 +135,7 @@ def normal_K_contains(prob: Problem, x, zeta, tol: float = DEFAULT_TOL) -> bool:
     upper bound is active; atoms pinched by equal bounds are unconstrained."""
     x = _vec(prob, x, "x")
     zeta = _vec(prob, zeta, "zeta")
-    _require_in_box(prob, x, tol)
-    _, lower_only, upper_only, free = bound_activity(prob, x, tol)
-    if np.any(zeta[lower_only] > tol):
-        return False
-    if np.any(zeta[upper_only] < -tol):
-        return False
-    if np.any(np.abs(zeta[free]) > tol):
-        return False
-    return True
+    return _sign_residual(_box_partition(prob, x, tol), zeta) <= tol
 
 
 def tangent_P_contains(prob: Problem, x, y, tol: float = DEFAULT_TOL) -> bool:
@@ -124,50 +151,53 @@ def tangent_P_contains(prob: Problem, x, y, tol: float = DEFAULT_TOL) -> bool:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """A functional split as ``zeta + sum alpha_i g_i + sum beta_j h_j``
-    (plus optional smooth-gradient terms) with zeta in the box normal cone."""
+class Multipliers:
+    """A multiplier set: ``-grad f = zeta + sum alpha_i g_i + sum beta_j h_j
+    + sum gamma_k e_k`` at one feasible point.
+
+    ``zeta`` is the bound multiplier density (nonpositive where only the
+    lower bound is active, nonnegative where only the upper bound is
+    active, zero where neither is).  ``zeta_lower``/``zeta_upper`` split it
+    into the two one-sided nonnegative densities.  ``alpha`` maps active
+    inequality indices to nonnegative weights, ``beta`` carries one
+    unrestricted weight per equality, and ``gamma`` maps active smooth
+    constraint indices to nonnegative weights.  A recovered set keeps the
+    partition of its point, which :func:`verify_stationarity` reads.
+    """
 
     zeta: np.ndarray = field(repr=False)
+    zeta_lower: np.ndarray = field(repr=False)
+    zeta_upper: np.ndarray = field(repr=False)
     alpha: dict[int, float]
     beta: np.ndarray = field(repr=False)
-    gamma: dict[int, float] | None = None
+    gamma: dict[int, float] = field(default_factory=dict)
+    _partition: RegionPartition | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class SumMembership:
     member: bool
-    decomposition: Decomposition | None = None
+    decomposition: Multipliers | None = None
     direction: np.ndarray | None = field(default=None, repr=False)
 
 
-def _clamp_zeta(zeta: np.ndarray, masks) -> np.ndarray:
-    """Force the exact sign pattern onto a numerically computed zeta."""
-    both, lower_only, upper_only, free = masks
-    out = zeta.copy()
-    out[lower_only] = np.minimum(out[lower_only], 0.0)
-    out[upper_only] = np.maximum(out[upper_only], 0.0)
-    out[free] = 0.0
-    return out
-
-
-def decompose_into_normal_sum(prob: Problem, x: np.ndarray, xi: np.ndarray,
-                              active_ineq, extra: list[np.ndarray] | None = None,
+def decompose_into_normal_sum(prob: Problem, part: RegionPartition, xi: np.ndarray,
+                              extra: list[np.ndarray] | None = None,
                               tol: float = DEFAULT_TOL):
     """Try to write ``xi = zeta + sum alpha g + sum beta h (+ sum gamma e)``.
 
-    ``zeta`` must obey the box sign pattern at ``x``; alphas (over
-    ``active_ineq``) and gammas (over ``extra``) are nonnegative, betas are
-    free.  Among all representations the one minimizing the total
-    multiplier mass ``sum alpha + sum |beta| + sum gamma`` is returned, which
-    makes the output canonical.  On failure returns ``(None, d)`` where
-    ``d`` is a separating direction built from the LP's Farkas ray: it is
-    tangent to box and polyhedron and pairs positively with ``xi``.
+    ``zeta`` must obey the box sign pattern of ``part``; alphas (over
+    ``part.lin_active``) and gammas (over ``extra``, the slopes of the
+    constraints ``part.nl_active`` in that order) are nonnegative, betas
+    are free.  Among all representations the one minimizing the total
+    multiplier mass ``sum alpha + sum |beta| + sum gamma`` is returned as
+    ``(Multipliers, None)``, which makes the output canonical.  On failure
+    returns ``(None, d)`` where ``d`` is a separating direction built from
+    the LP's Farkas ray: it is tangent to box and polyhedron and pairs
+    positively with ``xi``.
     """
     extra = extra or []
-    masks = bound_activity(prob, x, tol)
-    both, lower_only, upper_only, free = masks
-    active = sorted(active_ineq)
+    active = part.lin_active
     m_eq = prob.n_eq
     n_alpha, n_gamma = len(active), len(extra)
     nv = n_alpha + 2 * m_eq + n_gamma
@@ -176,25 +206,24 @@ def decompose_into_normal_sum(prob: Problem, x: np.ndarray, xi: np.ndarray,
             + [-h for h, _ in prob.eq] + [np.asarray(e, dtype=float) for e in extra])
     G = np.array(gens).T if gens else np.zeros((prob.size, 0))  # atoms x vars
 
-    # one row per atom not squeezed onto both bounds: zeta = xi - G v keeps
-    # the box normal-cone sign
-    atom_of_row = np.nonzero(~both)[0]
-    rel = np.where(lower_only, ">=", np.where(upper_only, "<=", "=="))[atom_of_row]
+    atoms, rel = _sign_rows(part)
     c = -np.ones(nv)  # maximize the negative total mass
-    prog = lpmod.LinearProgram(c, G[atom_of_row], tuple(rel.tolist()), xi[atom_of_row],
+    prog = lpmod.LinearProgram(c, G[atoms], rel, xi[atoms],
                                np.zeros(nv), np.full(nv, math.inf))
     out = lpmod.solve(prog, tol=tol)
     if out.status is lpmod.LpStatus.OPTIMAL:
         v = out.x
-        alpha = {k: float(v[t]) for t, k in enumerate(active)}
-        beta = v[n_alpha:n_alpha + m_eq] - v[n_alpha + m_eq:n_alpha + 2 * m_eq]
-        gamma = {t: float(v[n_alpha + 2 * m_eq + t]) for t in range(n_gamma)}
-        zeta = _clamp_zeta(xi - (G @ v if nv else np.zeros(prob.size)), masks)
-        return (alpha, beta, gamma, zeta), None
+        zeta, lower, upper = _split(part, xi - (G @ v if nv else np.zeros(prob.size)))
+        return Multipliers(
+            zeta=zeta, zeta_lower=lower, zeta_upper=upper,
+            alpha={k: float(v[t]) for t, k in enumerate(active)},
+            beta=v[n_alpha:n_alpha + m_eq] - v[n_alpha + m_eq:n_alpha + 2 * m_eq],
+            gamma={k: float(g) for k, g in zip(part.nl_active, v[n_alpha + 2 * m_eq:])},
+            _partition=part), None
     if out.status is lpmod.LpStatus.INFEASIBLE:
         lam = out.farkas.row_mult
         d = np.zeros(prob.size)
-        d[atom_of_row] = -lam / prob.space.weights[atom_of_row]
+        d[atoms] = -lam / prob.space.weights[atoms]
         nrm = float(np.max(np.abs(d)))
         if nrm <= 0.0:
             raise NumericalFailureError("empty separating direction")
@@ -214,12 +243,10 @@ def sum_NK_NP_contains(prob: Problem, x, xi, tol: float = DEFAULT_TOL) -> SumMem
     """
     x = _vec(prob, x, "x")
     xi = _vec(prob, xi, "xi")
-    reg = regions(prob, x, tol)
-    got, d = decompose_into_normal_sum(prob, x, xi, reg.lin_active, None, tol)
-    if got is None:
+    mult, d = decompose_into_normal_sum(prob, regions(prob, x, tol), xi, None, tol)
+    if mult is None:
         return SumMembership(False, direction=d)
-    alpha, beta, _, zeta = got
-    return SumMembership(True, decomposition=Decomposition(zeta, alpha, beta))
+    return SumMembership(True, decomposition=mult)
 
 
 def closure_sequence(prob: Problem, x, zeta_cert, xi, k: float,
@@ -236,9 +263,9 @@ def closure_sequence(prob: Problem, x, zeta_cert, xi, k: float,
     xi = _vec(prob, xi, "xi")
     if not k >= 1:
         raise PreconditionError("the truncation index k must be at least 1")
-    if not normal_K_contains(prob, x, -zeta, tol):
-        raise PreconditionError("certificate is not the negative of a box normal")
     reg = regions(prob, x, tol)
+    if not _sign_residual(reg, -zeta) <= tol:
+        raise PreconditionError("certificate is not the negative of a box normal")
     got, _ = _exact_poly_membership(prob, x, zeta, reg.lin_active, tol)
     if got is None:
         raise PreconditionError("certificate is not a polyhedron normal at x")

@@ -21,19 +21,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
+from .cones import Multipliers
 from .errors import InfeasiblePointError, InvalidGradientError, PreconditionError
 from .model import (
     DEFAULT_TOL,
     Problem,
-    RegionPartition,
     _as_vector,
+    _partition,
     check_feasible,
     conjugate_exponent,
     lp_norm,
     pairing,
     regions,
 )
-from .slater import SlaterReport, find_linearized_slater
+from .slater import SlaterReport, _linearized_search
 
 __all__ = [
     "Multipliers",
@@ -49,27 +50,6 @@ __all__ = [
 FOUND = "found"
 NO_MULTIPLIERS = "no_multipliers"
 NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """A verified multiplier set for one feasible point.
-
-    ``zeta`` is the bound multiplier density (nonpositive where only the
-    lower bound is active, nonnegative where only the upper bound is
-    active, zero where neither is).  ``zeta_lower``/``zeta_upper`` split it
-    into the two one-sided nonnegative densities.  ``alpha`` maps active
-    inequality indices to nonnegative weights, ``beta`` carries one
-    unrestricted weight per equality, and ``gamma`` maps active smooth
-    constraint indices to nonnegative weights.
-    """
-
-    zeta: np.ndarray = field(repr=False)
-    zeta_lower: np.ndarray = field(repr=False)
-    zeta_upper: np.ndarray = field(repr=False)
-    alpha: dict[int, float]
-    beta: np.ndarray = field(repr=False)
-    gamma: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -119,28 +99,13 @@ def split_zeta(prob: Problem, x: np.ndarray, zeta: np.ndarray,
     PreconditionError
         If ``zeta`` has the wrong sign somewhere or lives on inactive atoms.
     """
-    zeta = np.asarray(zeta, dtype=float)
+    zeta = cones._vec(prob, zeta, "zeta")
     part = regions(prob, x, tol)
-    if not cones.normal_K_contains(prob, x, zeta, tol * max(1.0, float(np.max(np.abs(zeta))))):
+    if not cones._sign_residual(part, zeta) <= tol * max(1.0, float(np.max(np.abs(zeta)))):
         raise PreconditionError(
             "density violates the active-bound sign pattern; cannot split")
-    both, lower_only, upper_only, free = part.masks(prob.size)
-    za = np.where(lower_only | both, np.maximum(-zeta, 0.0), 0.0)
-    zb = np.where(upper_only | both, np.maximum(zeta, 0.0), 0.0)
+    _, za, zb = cones._split(part, zeta)
     return za, zb
-
-
-def _package(prob: Problem, x: np.ndarray, got, part: RegionPartition,
-             nl_order=()) -> Multipliers:
-    alpha, beta, gamma_pos, zeta = got
-    both, lower_only, upper_only, _ = part.masks(prob.size)
-    za = np.where(lower_only | both, np.maximum(-zeta, 0.0), 0.0)
-    zb = np.where(upper_only | both, np.maximum(zeta, 0.0), 0.0)
-    nl_order = list(nl_order)
-    gamma = {nl_order[t]: v for t, v in gamma_pos.items()}
-    return Multipliers(zeta=zeta, zeta_lower=za, zeta_upper=zb,
-                       alpha=dict(alpha), beta=np.asarray(beta, dtype=float),
-                       gamma=gamma)
 
 
 def _point_and_slope(prob: Problem, xbar, grad_f):
@@ -178,24 +143,38 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
         raise PreconditionError(
             "problem has smooth constraints; use recover_multipliers_nonlinear")
     xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
+    return _recover(prob, xbar, grad_f, tol, linearize=False)
+
+
+def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
+             linearize: bool) -> KktOutcome:
+    """One feasibility check and one activity pass at ``xbar``, the
+    linearized interior-point gate if ``linearize``, then the split of
+    ``-grad_f`` over the active slopes."""
     rep = check_feasible(prob, xbar, tol)
     if not rep.feasible:
         worst = rep.violations[0]
         raise InfeasiblePointError(
             f"base point violates {worst.kind}[{worst.index}] "
             f"by {worst.residual:.3g}")
-    part = regions(prob, xbar, tol)
-    got, d = cones.decompose_into_normal_sum(prob, xbar, -grad_f,
-                                             part.lin_active, None, tol)
-    if got is not None:
-        mult = _package(prob, xbar, got, part)
-        return KktOutcome(status=FOUND, multipliers=mult,
-                          diagnostics={"active_ineq": list(part.lin_active)})
-    return KktOutcome(status=NO_MULTIPLIERS, direction=d,
-                      diagnostics={
-                          "active_ineq": list(part.lin_active),
-                          "descent_rate": pairing(prob.space, grad_f, d),
-                      })
+    part = _partition(prob, xbar, tol)
+    diagnostics = {"active_ineq": list(part.lin_active)}
+    slater = None
+    if linearize:
+        slater = _linearized_search(prob, xbar, part.nl_active, tol)
+        if not slater.found:
+            return KktOutcome(status=NOT_APPLICABLE, slater_report=slater,
+                              diagnostics={"reason": "no linearized interior point"})
+        diagnostics["active_smooth"] = list(part.nl_active)
+    extra = [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
+             for i in part.nl_active]
+    mult, d = cones.decompose_into_normal_sum(prob, part, -grad_f, extra, tol)
+    if mult is not None:
+        return KktOutcome(status=FOUND, multipliers=mult, slater_report=slater,
+                          diagnostics=diagnostics)
+    diagnostics["descent_rate"] = pairing(prob.space, grad_f, d)
+    return KktOutcome(status=NO_MULTIPLIERS, direction=d, slater_report=slater,
+                      diagnostics=diagnostics)
 
 
 def validate_gradients(prob: Problem, xbar: np.ndarray,
@@ -249,26 +228,7 @@ def recover_multipliers_nonlinear(prob: Problem, xbar: np.ndarray,
     """
     xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
     validate_gradients(prob, xbar, fd_rel_tol)
-    part = regions(prob, xbar, tol)
-    slater = find_linearized_slater(prob, xbar, tol)
-    if not slater.found:
-        return KktOutcome(status=NOT_APPLICABLE, slater_report=slater,
-                          diagnostics={"reason": "no linearized interior point"})
-    extra = [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
-             for i in part.nl_active]
-    got, d = cones.decompose_into_normal_sum(prob, xbar, -grad_f,
-                                             part.lin_active, extra, tol)
-    if got is not None:
-        mult = _package(prob, xbar, got, part, nl_order=part.nl_active)
-        return KktOutcome(status=FOUND, multipliers=mult, slater_report=slater,
-                          diagnostics={"active_ineq": list(part.lin_active),
-                                       "active_smooth": list(part.nl_active)})
-    return KktOutcome(status=NO_MULTIPLIERS, direction=d, slater_report=slater,
-                      diagnostics={
-                          "active_ineq": list(part.lin_active),
-                          "active_smooth": list(part.nl_active),
-                          "descent_rate": pairing(prob.space, grad_f, d),
-                      })
+    return _recover(prob, xbar, grad_f, tol, linearize=True)
 
 
 def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
@@ -279,7 +239,9 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     The identity asks the objective slope plus the bound density plus the
     weighted constraint slopes to vanish atom by atom.  Also reported:
     the worst multiplier sign violation and the complementarity pairings
-    between multipliers and their slacks.
+    between multipliers and their slacks.  The bound sign pattern is read
+    from the partition a recovered set carries, which belongs to the point
+    it was recovered at; a set built by hand is tested at ``xbar``.
     """
     xbar = np.asarray(xbar, dtype=float)
     grad_f = np.asarray(grad_f, dtype=float)
@@ -303,17 +265,14 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
         sign_viol = max(sign_viol, max(-w for w in mult.gamma.values()))
     sign_viol = max(sign_viol, float(np.max(-mult.zeta_lower, initial=0.0)))
     sign_viol = max(sign_viol, float(np.max(-mult.zeta_upper, initial=0.0)))
-    if not cones.normal_K_contains(prob, xbar, mult.zeta,
-                                   tol * max(1.0, float(np.max(np.abs(mult.zeta), initial=0.0)))):
-        part = regions(prob, xbar, tol)
-        both, lower_only, upper_only, free = part.masks(prob.size)
-        z = mult.zeta
-        sign_viol = max(
-            sign_viol,
-            float(np.max(z[lower_only], initial=0.0)),
-            float(np.max(-z[upper_only], initial=0.0)),
-            float(np.max(np.abs(z[free]), initial=0.0)),
-        )
+    # a breach of the bound sign pattern within the density's own rounding
+    # scale is not reported
+    part = mult._partition
+    if part is None:
+        part = cones._box_partition(prob, xbar, tol)
+    zeta_res = cones._sign_residual(part, mult.zeta)
+    if not zeta_res <= tol * max(1.0, float(np.max(np.abs(mult.zeta), initial=0.0))):
+        sign_viol = max(sign_viol, zeta_res)
 
     fin_lo = np.isfinite(prob.lower)
     fin_hi = np.isfinite(prob.upper)

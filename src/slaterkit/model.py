@@ -306,6 +306,16 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     passes no comparison, so it shows up as a violation.
     """
     xv = _as_vector(x, prob.size, "x")
+    bad = _linear_violations(prob, xv, tol)
+    for i, con in enumerate(prob.nonlinear):
+        val = con.value(xv)
+        if not val <= tol:
+            bad.append(Violation("nonlinear", i, float(val)))
+    return FeasibilityReport(not bad, tuple(bad))
+
+
+def _linear_violations(prob: Problem, xv: np.ndarray, tol: float) -> list[Violation]:
+    """The box and linear-row part of :func:`check_feasible`."""
     lo, hi = prob.lower, prob.upper
     bad = [Violation("lower", int(i), float(lo[i] - xv[i]))
            for i in np.nonzero(~(xv >= lo - tol))[0]]
@@ -317,11 +327,7 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     miss = np.abs(prob.H_w @ xv - prob.b)
     bad += [Violation("eq", int(j), float(miss[j]))
             for j in np.nonzero(~(miss <= tol))[0]]
-    for i, con in enumerate(prob.nonlinear):
-        val = con.value(xv)
-        if not val <= tol:
-            bad.append(Violation("nonlinear", i, float(val)))
-    return FeasibilityReport(not bad, tuple(bad))
+    return bad
 
 
 def bound_activity(prob: Problem, x: np.ndarray, tol: float = DEFAULT_TOL):
@@ -340,42 +346,46 @@ def bound_activity(prob: Problem, x: np.ndarray, tol: float = DEFAULT_TOL):
     return both, at_lower & ~both, at_upper & ~both, ~(at_lower | at_upper)
 
 
+def _pinched(prob: Problem, tol: float) -> np.ndarray:
+    """Atoms whose bounds pinch, ``upper - lower <= 2 tol``: only a wider gap
+    has a midpoint clearing each bound by more than ``tol``."""
+    return prob.upper - prob.lower <= 2 * tol
+
+
 def row_activity(G_w: np.ndarray, a: np.ndarray, x: np.ndarray,
                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """Mask of weighted rows active at ``x``: ``|G_w x - a| <= tol * max(1, |a|)``."""
     return np.abs(G_w @ x - a) <= tol * np.maximum(1.0, np.abs(a))
 
 
+def _smooth_active(prob: Problem, x: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Smooth constraints active at ``x``: value within ``tol`` of zero."""
+    return tuple(i for i, con in enumerate(prob.nonlinear) if abs(con.value(x)) <= tol)
+
+
 @dataclass(frozen=True)
 class RegionPartition:
     """Partition of the atoms by bound activity, plus active constraint sets.
 
-    The four index arrays are disjoint and cover every atom.  An infinite
-    bound is never active.  Bound activity follows :func:`bound_activity`
-    and linear-row activity :func:`row_activity`; a smooth constraint is
-    active when its value is within ``tol`` of zero.
+    The four boolean masks over the atoms are disjoint and cover every
+    atom; ``idx_*`` list the same sets as indices.  An infinite bound is
+    never active.  Bound activity follows :func:`bound_activity` and
+    linear-row activity :func:`row_activity`; a smooth constraint is active
+    when its value is within ``tol`` of zero.  A partition of the box alone
+    leaves both constraint sets empty.
     """
 
-    idx_both_active: np.ndarray
-    idx_lower_active: np.ndarray
-    idx_upper_active: np.ndarray
-    idx_free: np.ndarray
-    lin_active: tuple[int, ...]
-    nl_active: tuple[int, ...]
+    both: np.ndarray = field(repr=False)
+    lower_only: np.ndarray = field(repr=False)
+    upper_only: np.ndarray = field(repr=False)
+    free: np.ndarray = field(repr=False)
+    lin_active: tuple[int, ...] = ()
+    nl_active: tuple[int, ...] = ()
 
-    def masks(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Boolean masks (both, lower, upper, free) over ``m`` atoms."""
-        out = []
-        for idx in (
-            self.idx_both_active,
-            self.idx_lower_active,
-            self.idx_upper_active,
-            self.idx_free,
-        ):
-            mask = np.zeros(m, dtype=bool)
-            mask[idx] = True
-            out.append(mask)
-        return tuple(out)
+    idx_both_active = property(lambda self: np.flatnonzero(self.both))
+    idx_lower_active = property(lambda self: np.flatnonzero(self.lower_only))
+    idx_upper_active = property(lambda self: np.flatnonzero(self.upper_only))
+    idx_free = property(lambda self: np.flatnonzero(self.free))
 
 
 def regions(prob: Problem, x, tol: float = DEFAULT_TOL) -> RegionPartition:
@@ -393,18 +403,12 @@ def regions(prob: Problem, x, tol: float = DEFAULT_TOL) -> RegionPartition:
         raise InfeasiblePointError(
             f"point is infeasible: {worst.kind}[{worst.index}] violated by {worst.residual:.3e}"
         )
-    both, lower_only, upper_only, free = bound_activity(prob, xv, tol)
-    lin_active = np.nonzero(row_activity(prob.G_w, prob.a, xv, tol))[0]
-    nl_active = []
-    for i, con in enumerate(prob.nonlinear):
-        val = con.value(xv)
-        if abs(val) <= tol:
-            nl_active.append(i)
+    return _partition(prob, xv, tol)
+
+
+def _partition(prob: Problem, xv: np.ndarray, tol: float) -> RegionPartition:
+    """:func:`regions` at a point the caller has already checked."""
     return RegionPartition(
-        idx_both_active=np.nonzero(both)[0],
-        idx_lower_active=np.nonzero(lower_only)[0],
-        idx_upper_active=np.nonzero(upper_only)[0],
-        idx_free=np.nonzero(free)[0],
-        lin_active=tuple(int(i) for i in lin_active),
-        nl_active=tuple(nl_active),
-    )
+        *bound_activity(prob, xv, tol),
+        lin_active=tuple(np.flatnonzero(row_activity(prob.G_w, prob.a, xv, tol)).tolist()),
+        nl_active=_smooth_active(prob, xv, tol))

@@ -28,6 +28,8 @@ from .errors import (
 from .model import (
     DEFAULT_TOL,
     Problem,
+    _pinched,
+    _smooth_active,
     bound_activity,
     check_feasible,
     conjugate_exponent,
@@ -269,7 +271,7 @@ def _infeasibility_certificate(prob: Problem, ml: _MarginLp,
 
 def _run_margin_search(prob: Problem, extra_rows, tol: float,
                        kind: str) -> SlaterReport:
-    pinched = prob.upper - prob.lower <= tol
+    pinched = _pinched(prob, tol)
     if pinched.any():
         idx = int(np.argmax(pinched))
         return SlaterReport(
@@ -343,12 +345,16 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
         raise InfeasiblePointError(
             f"linearization point is infeasible: {worst.kind}[{worst.index}] "
             f"violated by {worst.residual:.3g}")
+    return _linearized_search(prob, xbar, _smooth_active(prob, xbar, tol), tol)
+
+
+def _linearized_search(prob: Problem, xbar: np.ndarray, active, tol: float) -> SlaterReport:
+    """:func:`find_linearized_slater` at a checked point, given the active
+    smooth constraints; inactive ones impose no local restriction."""
     q = conjugate_exponent(prob.p)
     extra = []
-    for i, con in enumerate(prob.nonlinear):
-        if abs(con.value(xbar)) > tol:
-            continue  # inactive constraints impose no local restriction
-        grad = np.asarray(con.grad(xbar), dtype=float)
+    for i in active:
+        grad = np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
         s = max(1.0, lp_norm(prob.space, grad, q))
         extra.append((grad, s, pairing(prob.space, grad, xbar)))
     return _run_margin_search(prob, extra, tol, "linearized")
@@ -385,9 +391,9 @@ def density_construction(prob: Problem, xbar: np.ndarray,
             raise PreconditionError(f"step profile has {w.size} atoms, expected {m}")
         if not (w > 0).all():
             raise PreconditionError("step profile must be strictly positive")
-    gap = prob.upper - prob.lower
-    if (gap <= 2 * tol).any():
-        idx = int(np.argmax(gap <= 2 * tol))
+    pinched = _pinched(prob, tol)
+    if pinched.any():
+        idx = int(np.argmax(pinched))
         raise PreconditionError(
             f"bounds pinch atom {idx}; no interior point can exist")
     below = xbar < prob.lower - tol

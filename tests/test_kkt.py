@@ -1,6 +1,10 @@
 """Multiplier recovery, splitting, verification, descent certificates."""
 
+import dataclasses
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +18,24 @@ from slaterkit import (
     PreconditionError,
     Problem,
     QuadraticConstraint,
+    load_point,
+    load_problem,
     log_counterexample_model,
+    normal_K_contains,
     pairing,
     recover_multipliers_linear,
     recover_multipliers_nonlinear,
+    regions,
     split_zeta,
     tangent_K_contains,
     tangent_P_contains,
     validate_gradients,
     verify_stationarity,
 )
-from slaterkit import oracles
+from slaterkit import model, oracles
 from conftest import anchored_problem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRecoverLinear:
@@ -174,6 +184,78 @@ class TestVerifyStationarity:
         rep = verify_stationarity(prob, xbar, grad, bumped)
         assert rep.residual_max == pytest.approx(0.1, abs=1e-12)
         assert not rep.ok
+
+
+class TestOneActivityRule:
+    """Every box sign test reads one partition of the point."""
+
+    TOL = 1e-9
+
+    def _case(self, rng):
+        """Box with one-sided, two-sided, pinched and free atoms, a point on,
+        near or off its bounds, and a signed density of size at most one
+        with breaches either well inside or well outside ``TOL``."""
+        m = int(rng.integers(1, 7))
+        tol = self.TOL
+        lower, upper, x = np.empty(m), np.empty(m), np.empty(m)
+        for i in range(m):
+            lo = float(rng.integers(-2, 2))
+            lower[i], upper[i] = [
+                (lo, math.inf), (-math.inf, lo), (lo, lo + float(rng.integers(1, 3))),
+                (lo, lo), (lo, lo + 0.5 * tol), (-math.inf, math.inf)][rng.integers(6)]
+            lo, hi = lower[i], upper[i]
+            anchors = [v for v in (lo, hi) if math.isfinite(v)] or [0.0]
+            base = anchors[rng.integers(len(anchors))]
+            x[i] = base + tol * rng.choice([0.0, 0.0, 0.5, -0.5, 3.0, -3.0, 1e6, -1e6])
+            x[i] = min(max(x[i], lo - 0.5 * tol), hi + 0.5 * tol)
+        zeta = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m)
+        tiny = rng.random(m) < 0.4
+        zeta[tiny] = tol * rng.choice([-3.0, -0.3, 0.3, 3.0], size=int(tiny.sum()))
+        prob = Problem(MeasureSpace(rng.integers(1, 3, size=m).astype(float)), 2.0,
+                       lower, upper, (), ())
+        return prob, x, zeta
+
+    def test_sign_tests_agree(self):
+        rng = np.random.default_rng(2023)
+        tol = self.TOL
+        verdicts = Counter()
+        for case in range(400):
+            prob, x, zeta = self._case(rng)
+            member = normal_K_contains(prob, x, zeta, tol)
+            try:
+                split_zeta(prob, x, zeta, tol)
+                splits = True
+            except PreconditionError:
+                splits = False
+            mult = Multipliers(zeta=zeta, zeta_lower=np.zeros_like(zeta),
+                               zeta_upper=np.zeros_like(zeta), alpha={},
+                               beta=np.zeros(0))
+            viol = verify_stationarity(prob, x, -zeta, mult, tol).sign_violation
+            carried = dataclasses.replace(mult, _partition=regions(prob, x, tol))
+            assert verify_stationarity(prob, x, -zeta, carried, tol).sign_violation == viol
+            assert member == splits == (viol <= tol), f"case {case}"
+            verdicts[member] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_one_activity_pass_per_question(self, monkeypatch):
+        prob, _ = load_problem(GOLDEN / "pinned.json")
+        x = load_point(GOLDEN / "pinned_x.json")
+        grad = load_point(GOLDEN / "pinned_grad.json")
+        calls = Counter()
+        for name in ("check_feasible", "bound_activity"):
+            orig = getattr(model, name)
+
+            def counting(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in list(sys.modules.values()):
+                if (mod.__name__.startswith("slaterkit")
+                        and getattr(mod, name, None) is orig):
+                    monkeypatch.setattr(mod, name, counting)
+        out = recover_multipliers_linear(prob, x, grad)
+        assert verify_stationarity(prob, x, grad, out.multipliers).ok
+        assert calls == {"check_feasible": 1, "bound_activity": 1}
 
 
 class TestNonlinearPath:

@@ -22,6 +22,7 @@ from slaterkit import (
     find_linearized_slater,
     find_slater,
     log_counterexample_model,
+    build_no_slater_certificate,
     lp_norm,
     pairing,
 )
@@ -145,6 +146,36 @@ def _active_quadratic(rng, prob, x):
     con = QuadraticConstraint(prob.space, Q, q, c)
     return Problem(prob.space, prob.p, prob.lower, prob.upper, prob.ineq,
                    prob.eq, (con,))
+
+
+class TestPinchRule:
+    """One pinch rule, ``upper - lower <= 2 tol``, in the interior search, the
+    density construction and the certificate: only a wider gap has a
+    midpoint that clears each bound by more than ``tol``."""
+
+    TOL = 1e-9
+
+    def test_gap_of_one_and_a_half_tol_pinches_everywhere(self):
+        prob = _prob([1.0, 1.0], [0, 0], [1.5 * self.TOL, 1])
+        rep = find_slater(prob, self.TOL)
+        assert not rep.found
+        assert rep.diagnostics["pinched_atoms"] == [0]
+        with pytest.raises(PreconditionError, match="pinch atom 0"):
+            density_construction(prob, np.zeros(2), tol=self.TOL)
+        # with the row x1 <= 0 the certificate refuses for the same reason
+        # the search gave up, instead of contradicting it
+        pinned = _prob([1.0, 1.0], [0, 0], [1.5 * self.TOL, 1], ineq=[([0.0, 1.0], 0.0)])
+        rep = find_slater(pinned, self.TOL)
+        assert rep.diagnostics["pinched_atoms"] == [0]
+        with pytest.raises(PreconditionError, match="pinch"):
+            build_no_slater_certificate(pinned, tol=self.TOL, slater_report=rep)
+
+    def test_gap_of_two_and_a_half_tol_has_a_clear_midpoint(self):
+        prob = _prob([1.0, 1.0], [0, 0], [2.5 * self.TOL, 1])
+        rep = find_slater(prob, self.TOL)
+        assert rep.found and rep.margin > self.TOL
+        x = density_construction(prob, np.zeros(2), tol=self.TOL)
+        assert 0.0 < x[0] < 2.5 * self.TOL
 
 
 class TestMarginLp:
