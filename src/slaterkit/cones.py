@@ -162,7 +162,8 @@ class Multipliers:
     inequality indices to nonnegative weights, ``beta`` carries one
     unrestricted weight per equality, and ``gamma`` maps active smooth
     constraint indices to nonnegative weights.  A recovered set keeps the
-    partition of its point, which :func:`verify_stationarity` reads.
+    partition of its point and the slopes there of the constraints in
+    ``gamma``, which :func:`verify_stationarity` reads.
     """
 
     zeta: np.ndarray = field(repr=False)
@@ -172,6 +173,7 @@ class Multipliers:
     beta: np.ndarray = field(repr=False)
     gamma: dict[int, float] = field(default_factory=dict)
     _partition: RegionPartition | None = field(default=None, repr=False, compare=False)
+    _slopes: dict | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def decompose_into_normal_sum(prob: Problem, part: RegionPartition, xi: np.ndarr
             alpha={k: float(v[t]) for t, k in enumerate(active)},
             beta=v[n_alpha:n_alpha + m_eq] - v[n_alpha + m_eq:n_alpha + 2 * m_eq],
             gamma={k: float(g) for k, g in zip(part.nl_active, v[n_alpha + 2 * m_eq:])},
-            _partition=part), None
+            _partition=part, _slopes=dict(zip(part.nl_active, gens[n_alpha + 2 * m_eq:]))), None
     if out.status is lpmod.LpStatus.INFEASIBLE:
         lam = out.farkas.row_mult
         d = np.zeros(prob.size)

@@ -143,14 +143,15 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
         raise PreconditionError(
             "problem has smooth constraints; use recover_multipliers_nonlinear")
     xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
-    return _recover(prob, xbar, grad_f, tol, linearize=False)
+    return _recover(prob, xbar, grad_f, tol, slopes=None)
 
 
 def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
-             linearize: bool) -> KktOutcome:
+             slopes: list | None) -> KktOutcome:
     """One feasibility check and one activity pass at ``xbar``, the
-    linearized interior-point gate if ``linearize``, then the split of
-    ``-grad_f`` over the active slopes."""
+    linearized interior-point gate if ``slopes`` (every smooth constraint's
+    slope at ``xbar``) are given, then the split of ``-grad_f`` over the
+    active slopes."""
     rep = check_feasible(prob, xbar, tol)
     if not rep.feasible:
         worst = rep.violations[0]
@@ -159,15 +160,13 @@ def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
             f"by {worst.residual:.3g}")
     part = _partition(prob, xbar, tol)
     diagnostics = {"active_ineq": list(part.lin_active)}
-    slater = None
-    if linearize:
-        slater = _linearized_search(prob, xbar, part.nl_active, tol)
+    slater, extra = None, [slopes[i] for i in part.nl_active] if slopes else []
+    if slopes is not None:
+        slater = _linearized_search(prob, xbar, extra, tol)
         if not slater.found:
             return KktOutcome(status=NOT_APPLICABLE, slater_report=slater,
                               diagnostics={"reason": "no linearized interior point"})
         diagnostics["active_smooth"] = list(part.nl_active)
-    extra = [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
-             for i in part.nl_active]
     mult, d = cones.decompose_into_normal_sum(prob, part, -grad_f, extra, tol)
     if mult is not None:
         return KktOutcome(status=FOUND, multipliers=mult, slater_report=slater,
@@ -178,8 +177,9 @@ def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
 
 
 def validate_gradients(prob: Problem, xbar: np.ndarray,
-                       rel_tol: float = 1e-5) -> None:
-    """Check every smooth constraint's slope against finite differences.
+                       rel_tol: float = 1e-5) -> list[np.ndarray]:
+    """Check every smooth constraint's slope against finite differences and
+    return the slopes, one per constraint.
 
     Each coordinate of the supplied slope, weighted by the atom's measure,
     must match a central difference of the constraint value to relative
@@ -190,9 +190,10 @@ def validate_gradients(prob: Problem, xbar: np.ndarray,
     InvalidGradientError
         Naming the first constraint and atom that disagree.
     """
-    xbar = np.asarray(xbar, dtype=float)
+    xbar, slopes = np.asarray(xbar, dtype=float), []
     for i, con in enumerate(prob.nonlinear):
         grad = np.asarray(con.grad(xbar), dtype=float)
+        slopes.append(grad)
         if grad.shape != (prob.size,):
             raise InvalidGradientError(
                 f"smooth constraint {i} returned a slope of length {grad.size}, "
@@ -209,6 +210,7 @@ def validate_gradients(prob: Problem, xbar: np.ndarray,
                     f"smooth constraint {i} slope disagrees with finite "
                     f"differences at atom {k}: reported {expected[k]:.6g}, "
                     f"measured {fd:.6g}")
+    return slopes
 
 
 def recover_multipliers_nonlinear(prob: Problem, xbar: np.ndarray,
@@ -227,8 +229,7 @@ def recover_multipliers_nonlinear(prob: Problem, xbar: np.ndarray,
     DimensionMismatchError, InvalidGradientError, InfeasiblePointError
     """
     xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
-    validate_gradients(prob, xbar, fd_rel_tol)
-    return _recover(prob, xbar, grad_f, tol, linearize=True)
+    return _recover(prob, xbar, grad_f, tol, validate_gradients(prob, xbar, fd_rel_tol))
 
 
 def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
@@ -239,9 +240,10 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     The identity asks the objective slope plus the bound density plus the
     weighted constraint slopes to vanish atom by atom.  Also reported:
     the worst multiplier sign violation and the complementarity pairings
-    between multipliers and their slacks.  The bound sign pattern is read
-    from the partition a recovered set carries, which belongs to the point
-    it was recovered at; a set built by hand is tested at ``xbar``.
+    between multipliers and their slacks.  The bound sign pattern and the
+    smooth constraints' slopes are read from what a recovered set carries,
+    which belongs to the point it was recovered at; a set built by hand is
+    tested at ``xbar``.
     """
     xbar = np.asarray(xbar, dtype=float)
     grad_f = np.asarray(grad_f, dtype=float)
@@ -252,8 +254,10 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     for j in range(prob.n_eq):
         h, _ = prob.eq[j]
         r = r + mult.beta[j] * np.asarray(h, dtype=float)
+    slopes = mult._slopes or {}
     for i, w in mult.gamma.items():
-        r = r + w * np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
+        r = r + w * (slopes[i] if i in slopes else
+                     np.asarray(prob.nonlinear[i].grad(xbar), dtype=float))
     q = conjugate_exponent(prob.p)
     residual_max = float(np.max(np.abs(r))) if r.size else 0.0
     residual_dual = lp_norm(prob.space, r, q)

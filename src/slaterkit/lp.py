@@ -11,6 +11,9 @@ tableau simplex (Dantzig's upper-bounding technique):
   ``vub`` block are implicit variable upper bounds (Schrage's technique):
   they stay out of the tableau, and their basic representative (the slack,
   or ``x_p`` while tight) is read off the row;
+* a crash start sets block rows tight before phase one: greedily the row
+  whose ``x_p``, moved from its lower bound to the row's bound, most lowers
+  the other rows' total violation (Bixby 1992; Maros 2003, ch. 9);
 * every other row gets a slack (a ``>=`` row is negated) or, on an
   equality, an artificial; one shared artificial repairs the violated
   inequality rows in one pivot, so phase one starts from the logical basis;
@@ -246,6 +249,9 @@ class _Tableau:
     (rising) or ``down[i]`` (falling).  A row with only the key left to
     represent it joins ``T`` for good, ``v_i`` in column ``spare[i]``, and
     its ``x_p`` becomes an ordinary column (``own`` -1).
+
+    Block rows start loose, except those :func:`_crash` makes tight: their
+    ``x_p`` is substituted in ``T`` at once, as ``switch`` does row by row.
     """
 
     def __init__(self, lp: LinearProgram, pivot_tol: float):
@@ -279,6 +285,11 @@ class _Tableau:
                 f"LP too large for the dense kernel: a {nr} x {ncols} working tableau "
                 f"exceeds {_MAX_TABLEAU_BYTES // 2 ** 20} MiB")
         width, cap = ncols + reserve, cap + reserve
+        if nv:  # the crash: rows that start tight, their x_p moved to the row's bound
+            bound = (vh - vg * x0[key]) / va
+            P = _crash(A, b, le, ge, x0, vp, bound, fin_lo[vp] & (bound > x0[vp])
+                       & (bound <= lp.upper[vp]))
+            x0[vp[P]] = bound[P]
         # explicit rows, oriented so the logical is +1 and at a feasible level
         eq = ~(le | ge)
         resid = b - A @ x0
@@ -325,6 +336,14 @@ class _Tableau:
             # the slack c - g key (g != 0) reaches 0 at key c / g
             self.up = np.where(vg > 0, c / vg, math.inf)
             self.down = np.where(vg < 0, c / vg, -math.inf)
+            if P.size:  # crashed rows hold v_i at zero: x_p = (h - g key - v_i) / a
+                p, kk = vp[P], vg[P] / va[P]
+                T[:nr + 2, key] -= T[:nr + 2, p] @ kk
+                T[:nr + 2, p] /= -va[P]
+                self.tight[P], self.kk[P], self.dirn[p], self.order[p] = True, kk, 1.0, ncols + P
+                self.x[p], self.lo[p], self.hi[p] = 0.0, 0.0, math.inf
+                for i in P.tolist():
+                    self.refresh(i)
         if neg.any():
             r = int(np.flatnonzero(neg)[np.argmin(rho[neg])])
             self.bv[2:nr + 2][neg] -= rho[r]
@@ -634,6 +653,29 @@ class _Tableau:
             if i >= 0 and self.tight[i]:
                 d[j] = -(self.vg[i] * rk + delta) / self.va[i]
         return d[: self.n]
+
+
+def _crash(A, b, le, ge, x0, vp, bound, ok) -> np.ndarray:
+    """Implicit rows to start tight: greedily the row, among ``ok``, whose
+    ``x_p`` moving from ``x0`` to ``bound`` most lowers the total violation of
+    the explicit rows (``|residual|`` on an equality), until no move lowers it."""
+    cand = np.flatnonzero(ok)
+    if not cand.size:
+        return cand
+    # the explicit rows as rows "<= 0", an equality twice (r and -r), so each
+    # row's violation is max(r, 0); column j of D is candidate j - 1's change
+    # of r, column 0 no move (first on a tie), and column j of S is r after it
+    eq = np.flatnonzero(~(le | ge))
+    rows = np.concatenate([np.arange(b.size), eq])
+    s = np.concatenate([np.where(ge, -1.0, 1.0), np.full(eq.size, -1.0)])
+    D = np.zeros((rows.size, cand.size + 1))
+    D[:, 1:] = s[:, None] * A[rows[:, None], vp[cand]] * (bound - x0[vp])[cand]
+    S, one, taken = (s * (A @ x0 - b)[rows])[:, None] + D, np.ones(rows.size), []
+    while (j := int((one @ np.maximum(S, 0.0)).argmin())) > 0:
+        taken.append(j - 1)
+        S += D[:, j, None]
+        S[:, j] = math.inf  # taken
+    return cand[taken]
 
 
 # ---------------------------------------------------------------------------

@@ -217,16 +217,19 @@ def _box_sides(prob: Problem, lower_side: np.ndarray, upper_side: np.ndarray) ->
     return np.stack([lower_side, upper_side], axis=1).ravel()[finite]
 
 
-def _pinning_duals(prob: Problem, ml: _MarginLp, out: lpmod.LpOutcome) -> list:
+def _pinning_duals(prob: Problem, ml: _MarginLp, out: lpmod.LpOutcome, vt: float) -> list:
     """Row duals of the ``(x, t)`` LP: the bound multiplier of ``u_i`` on a
     lower side, the row dual (two-sided atom) or the bound multiplier
-    (upper-only atom) on an upper side, then the linear and extra rows."""
+    (upper-only atom) on an upper side, then the linear and extra rows.  An
+    entry within the acceptance threshold ``vt`` of zero is a rounding
+    residue of the kernel's duals and reads 0."""
     m = prob.size
     y_two, y_rows = _split_rows(ml, out.y)
     upper = np.maximum(out.reduced_costs[:m], 0.0)
     upper[ml.two] = y_two
     lower = np.maximum(-out.reduced_costs[:m], 0.0)
-    return np.concatenate([_box_sides(prob, lower, upper), y_rows]).tolist()
+    y = np.concatenate([_box_sides(prob, lower, upper), y_rows])
+    return np.where((np.abs(y) <= vt) & (y != 0.0), 0.0, y).tolist()  # an exact -0.0 stays
 
 
 def _infeasibility_certificate(prob: Problem, ml: _MarginLp,
@@ -304,7 +307,7 @@ def _run_margin_search(prob: Problem, extra_rows, tol: float,
         status=NOT_FOUND, optimal_t=t, feasible_point=x,
         message=f"best achievable margin {t:.3g} is within tolerance of zero",
         diagnostics={"lp_iterations": out.iterations,
-                     "pinning_duals": _pinning_duals(prob, ml, out)})
+                     "pinning_duals": _pinning_duals(prob, ml, out, vt)})
 
 
 def find_slater(prob: Problem, tol: float = DEFAULT_TOL) -> SlaterReport:
@@ -345,18 +348,17 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
         raise InfeasiblePointError(
             f"linearization point is infeasible: {worst.kind}[{worst.index}] "
             f"violated by {worst.residual:.3g}")
-    return _linearized_search(prob, xbar, _smooth_active(prob, xbar, tol), tol)
+    return _linearized_search(prob, xbar, [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
+                                           for i in _smooth_active(prob, xbar, tol)], tol)
 
 
-def _linearized_search(prob: Problem, xbar: np.ndarray, active, tol: float) -> SlaterReport:
-    """:func:`find_linearized_slater` at a checked point, given the active
-    smooth constraints; inactive ones impose no local restriction."""
+def _linearized_search(prob: Problem, xbar: np.ndarray, slopes, tol: float) -> SlaterReport:
+    """:func:`find_linearized_slater` at a checked point, given the slopes
+    there of the active smooth constraints; inactive ones impose no local
+    restriction."""
     q = conjugate_exponent(prob.p)
-    extra = []
-    for i in active:
-        grad = np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
-        s = max(1.0, lp_norm(prob.space, grad, q))
-        extra.append((grad, s, pairing(prob.space, grad, xbar)))
+    extra = [(grad, max(1.0, lp_norm(prob.space, grad, q)), pairing(prob.space, grad, xbar))
+             for grad in slopes]
     return _run_margin_search(prob, extra, tol, "linearized")
 
 

@@ -317,3 +317,22 @@ class TestNonlinearPath:
     def test_validate_gradients_accepts_honest_slope(self):
         prob = self._prob([0.0], [2.0])
         validate_gradients(prob, np.array([1.0]))
+
+    def test_one_slope_evaluation_per_constraint(self, monkeypatch):
+        # the gradient gate, the linearized search, the decomposition and the
+        # stationarity check all use the one slope evaluated at the base point
+        prob, _ = load_problem(GOLDEN / "quad.json")
+        x = load_point(GOLDEN / "quad_x.json")
+        grad = load_point(GOLDEN / "quad_grad.json")
+        calls = Counter()
+        orig = QuadraticConstraint.grad
+
+        def counting(con, point):
+            calls[id(con)] += 1
+            return orig(con, point)
+
+        monkeypatch.setattr(QuadraticConstraint, "grad", counting)
+        out = recover_multipliers_nonlinear(prob, x, grad)
+        assert out.found and out.multipliers.gamma
+        assert verify_stationarity(prob, x, grad, out.multipliers).ok
+        assert sorted(calls.values()) == [1] * len(prob.nonlinear)

@@ -323,6 +323,97 @@ class TestBoundedKernel:
         assert out.iterations == 1
 
 
+class TestCrashStart:
+    """Block rows that start tight: their ``x_p`` at the row's bound."""
+
+    def test_crash_makes_the_start_feasible(self):
+        # x0 + x1 >= 4 with x0 + t <= 2 and x1 + t <= 2 as the block: both
+        # rows start tight at t = 0, so the start is optimal without a pivot
+        lp = LinearProgram([0.0, 0.0, -1.0], [[1.0, 1.0, 0.0]], (GE,), [4.0],
+                           [0.0, 0.0, 0.0], [math.inf, 3.0, 1.0],
+                           VubRows(2, [0, 1], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]))
+        assert slaterkit.lp._Tableau(lp, 1e-11).tight.tolist() == [True, True]
+        out = solve(lp)
+        assert out.status is LpStatus.OPTIMAL and out.iterations == 0
+        np.testing.assert_array_equal(out.x, [2.0, 2.0, 0.0])
+        _verify(lp, out)
+
+    def test_crash_follows_the_greedy_rule(self):
+        # the rows the crash picks, in order, against a plain loop over the
+        # rule; integer data and half-integer moves keep every sum exact
+        rng = np.random.default_rng(2626)
+        several = 0
+        for case in range(200):
+            k, nb = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            A = rng.integers(-3, 4, size=(k, nb + 1)).astype(float)
+            b = rng.integers(-6, 7, size=k).astype(float)
+            rel = rng.choice([LE, GE, EQ], size=k)
+            x0 = rng.integers(-2, 2, size=nb + 1).astype(float)
+            vp = rng.permutation(nb + 1)[:nb]
+            bound = x0[vp] + rng.integers(0, 5, size=nb) / 2.0
+            ok = (rng.random(nb) < 0.8) & (bound > x0[vp])
+
+            def violation(x):
+                return sum(max(v, 0.0) if t == LE else max(-v, 0.0) if t == GE else abs(v)
+                           for v, t in zip(A @ x - b, rel))
+
+            x, want = x0.copy(), []
+            while True:
+                best, pick = violation(x), None
+                for i in np.flatnonzero(ok):
+                    y = x.copy()
+                    y[vp[i]] = bound[i]
+                    if i not in want and violation(y) < best:
+                        best, pick = violation(y), i
+                if pick is None:
+                    break
+                want.append(pick)
+                x[vp[pick]] = bound[pick]
+            got = slaterkit.lp._crash(A, b, rel == LE, rel == GE, x0, vp, bound, ok)
+            assert got.tolist() == want, f"case {case}"
+            several += len(want) > 1
+        assert several >= 30
+
+    def test_crashed_block_matches_the_oracle(self):
+        # 2-3 block rows over columns with a finite lower bound and, most of
+        # them, a finite upper one; the key rests at its lower or its upper
+        # bound, g has either sign, and the general rows and some block rows
+        # are violated at the start
+        rng = np.random.default_rng(2525)
+        crashed, violated, statuses = 0, 0, []
+        for case in range(200):
+            n = int(rng.choice([3, 4], p=[0.7, 0.3]))
+            key = int(rng.integers(0, n))
+            cols = rng.permutation([j for j in range(n) if j != key])[:int(rng.integers(1, n))]
+            lower = rng.integers(-2, 2, size=n).astype(float)
+            upper = lower + rng.integers(1, 4, size=n)
+            upper[rng.random(n) < 0.3] = math.inf
+            side = rng.integers(0, 3)  # the key: two-sided, lower only, upper only
+            upper[key] = math.inf if side == 1 else upper[key]
+            lower[key] = -math.inf if side == 2 else lower[key]
+            k = int(rng.integers(1, 3))
+            lp = LinearProgram(rng.integers(-3, 4, size=n).astype(float),
+                               rng.integers(-2, 4, size=(k, n)).astype(float),
+                               tuple(rng.choice([LE, GE, EQ], size=k, p=[0.25, 0.5, 0.25])),
+                               rng.integers(-1, 8, size=k).astype(float), lower, upper,
+                               VubRows(key, cols, rng.integers(1, 3, size=cols.size),
+                                       rng.choice([-2, -1, 1, 2], size=cols.size),
+                                       rng.integers(-2, 6, size=cols.size)))
+            tb = slaterkit.lp._Tableau(lp, 1e-11)
+            crashed += bool(tb.nv and tb.tight.any())
+            violated += tb.nv < cols.size
+            out = solve(lp)
+            status, value = _oracle(lp)
+            assert out.status.value == status, f"case {case}"
+            if status == "optimal":
+                assert abs(out.value - float(value)) <= 1e-9 * max(1.0, abs(float(value)))
+            _verify(lp, out)
+            statuses.append(out.status)
+        assert crashed >= 40 and violated >= 40
+        assert all(statuses.count(s) >= 10 for s in (
+            LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED))
+
+
 class TestProgramData:
     """A program keeps read-only copies; the caller's arrays stay writable."""
 

@@ -26,7 +26,7 @@ from slaterkit import (
     lp_norm,
     pairing,
 )
-from slaterkit import lp
+from slaterkit import DEFAULT_TOL, lp, slater
 from conftest import anchored_problem
 
 
@@ -389,13 +389,15 @@ class TestBlockPath:
         assert prog.A.shape == (8, m + 1) and prog.vub.col.size == m and prog.n_rows == m + 8
         assert peak < 20e6 and seconds < 1.0
 
-    # status, optimal_t and lp_iterations of find_slater on _planted(seed, pinned)
-    RECORDED = [(1281, False, "found", 0.932846371347785, 108),
-                (1281, True, "not_found", 0.0, 10),
-                (1282, False, "found", 0.8969223972905319, 101),
-                (1282, True, "not_found", 0.0, 8),
-                (1283, False, "found", 0.8657817109144544, 107),
-                (1283, True, "not_found", 0.0, 8)]
+    # status, optimal_t and lp_iterations of find_slater on _planted(seed, pinned);
+    # the iteration counts are those from the crash start (108, 10, 101, 8, 107
+    # and 8 from the all-loose start)
+    RECORDED = [(1281, False, "found", 0.932846371347785, 70),
+                (1281, True, "not_found", 0.0, 3),
+                (1282, False, "found", 0.8969223972905319, 80),
+                (1282, True, "not_found", 0.0, 3),
+                (1283, False, "found", 0.8657817109144544, 98),
+                (1283, True, "not_found", 0.0, 3)]
 
     @pytest.mark.parametrize("seed, pinned, status, t, iterations", RECORDED)
     def test_planted_answers_are_unchanged(self, lp_calls, seed, pinned, status, t, iterations):
@@ -414,6 +416,37 @@ class TestBlockPath:
         assert y.shape == (ref.n_rows,) and np.all(y[le] >= -1e-9)
         np.testing.assert_allclose(ref.A[:, :-1].T @ y, 0.0, atol=1e-7)
         assert ref.A[:, -1] @ y >= 1.0 - 1e-7 and abs(ref.b @ y - rep.optimal_t) <= 1e-7
+
+    def test_crashed_margin_lp_matches_the_reference(self, lp_calls):
+        # 60 planted problems, interior and pinned: the block LP, which starts
+        # with rows tight, and the reference LP with a row per box side agree
+        crashed = 0
+        for seed in range(2500, 2560):
+            del lp_calls[:]
+            prob = _planted(seed, seed % 2 == 1)
+            rep = find_slater(prob)
+            (prog,) = lp_calls
+            crashed += bool(lp._Tableau(prog, 1e-11).tight.any())
+            ref = lp.solve(_reference_lp(prob))
+            assert ref.status is lp.LpStatus.OPTIMAL
+            assert rep.status == ("found" if ref.value > 1e-9 else "not_found"), f"seed {seed}"
+            assert abs(rep.optimal_t - ref.value) <= 1e-12, f"seed {seed}"
+        assert crashed == 60
+
+    def test_pinning_duals_carry_no_rounding_residues(self):
+        # every entry is exactly zero or beyond the margin LP's acceptance
+        # threshold, though the kernel's own duals carry residues below it
+        residues = 0
+        for seed in range(1281, 1301):
+            prob = _planted(seed, True)
+            ml = slater._margin_lp(prob, [])
+            vt = slater._margin_threshold(prob, ml, DEFAULT_TOL)
+            y = np.array(find_slater(prob).diagnostics["pinning_duals"])
+            assert np.all((y == 0.0) | (np.abs(y) > vt)), f"seed {seed}"
+            out = lp.solve(ml.lp)
+            raw = np.concatenate([out.y, out.reduced_costs])
+            residues += bool(np.any((raw != 0.0) & (np.abs(raw) <= vt)))
+        assert residues > 0
 
     def test_infeasibility_certificate_verifies_on_reference(self):
         prob = _planted(1284, False)
