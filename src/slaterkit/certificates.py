@@ -19,7 +19,6 @@ from . import lp as lpmod
 from .cones import _sign_residual, _sign_rows
 from .errors import (
     CertificateNotFoundError,
-    InfeasiblePointError,
     NumericalFailureError,
     PreconditionError,
 )
@@ -29,14 +28,17 @@ from .model import (
     Problem,
     RegionPartition,
     _as_vector,
-    _linear_violations,
+    _box_violations,
     _pinched,
+    _require_member,
+    _row_violations,
     bound_activity,
     row_activity,
 )
 from .preprocess import MfcqSystem, build_mfcq_system
 from .slater import find_slater
 from .kkt import recover_multipliers_linear, verify_stationarity
+from .tolerances import BASE_POINT, RESIDUAL, threshold, within
 
 __all__ = [
     "NoSlaterCertificate",
@@ -122,12 +124,9 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
     if xbar is None:
         xbar = report.feasible_point
     xbar = _as_vector(xbar, prob.size, "x")
-    bad = _linear_violations(prob, xbar, max(tol, 1e2 * tol))
-    if bad:
-        worst = bad[0]
-        raise InfeasiblePointError(
-            f"base point is infeasible: {worst.kind}[{worst.index}] off by "
-            f"{worst.residual:.3g}")
+    base_tol = threshold(BASE_POINT, 1.0, tol)
+    _require_member(_box_violations(prob, xbar, base_tol) + _row_violations(prob, xbar, base_tol),
+                    "base point")
 
     system = build_mfcq_system(prob, tol)
     active = np.nonzero(row_activity(system.G_w, system.a, xbar, tol))[0]
@@ -164,7 +163,7 @@ def build_no_slater_certificate(prob: Problem, xbar: np.ndarray | None = None,
         sign_residual=sign_res, combination_residual=comb_res,
         support_positive=support_pos, support_negative=support_neg,
         peak_atom=int(np.argmax(np.abs(zeta))))
-    if cert.max_residual > 100 * tol:
+    if not within(cert.max_residual, RESIDUAL, 1.0, tol):
         raise CertificateNotFoundError(
             f"certificate residual {cert.max_residual:.3g} exceeds the "
             f"acceptable multiple of the tolerance {tol:g}")

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
-from .errors import InfeasiblePointError, NumericalFailureError, PreconditionError
-from .model import (DEFAULT_TOL, Problem, RegionPartition, bound_activity, pairing, regions,
-                    row_activity)
+from .errors import NumericalFailureError, PreconditionError
+from .model import (DEFAULT_TOL, Problem, RegionPartition, _box_violations, _require_member,
+                    _row_violations, bound_activity, pairing, regions, row_activity)
+from .tolerances import SIGN, threshold, within
 
 __all__ = [
     "Multipliers",
@@ -38,19 +39,11 @@ def _vec(prob: Problem, v, name: str) -> np.ndarray:
     return arr
 
 
-def _require_in_box(prob: Problem, x: np.ndarray, tol: float):
-    # written so that a NaN coordinate counts as outside
-    if np.any(~(x >= prob.lower - tol) | ~(x <= prob.upper + tol)):
-        raise InfeasiblePointError("point lies outside the box")
-
-
-def _require_in_poly(prob: Problem, x: np.ndarray, tol: float):
-    bad = np.nonzero(~(prob.G_w @ x <= prob.a + tol))[0]
-    if bad.size:
-        raise InfeasiblePointError(f"inequality {bad[0]} violated")
-    bad = np.nonzero(~(np.abs(prob.H_w @ x - prob.b) <= tol))[0]
-    if bad.size:
-        raise InfeasiblePointError(f"equality {bad[0]} violated")
+def _finite(prob: Problem, v, name: str) -> np.ndarray:
+    arr = _vec(prob, v, name)
+    if not np.isfinite(arr).all():  # a NaN passes every sign comparison
+        raise PreconditionError(f"{name} must be finite")
+    return arr
 
 
 def _sign_residual(part: RegionPartition, zeta: np.ndarray) -> float:
@@ -86,7 +79,7 @@ def _split(part: RegionPartition, zeta: np.ndarray):
 
 def _box_partition(prob: Problem, x: np.ndarray, tol: float) -> RegionPartition:
     """Bound activity at a box point, with no constraint sets."""
-    _require_in_box(prob, x, tol)
+    _require_member(_box_violations(prob, x, tol), "point")
     return RegionPartition(*bound_activity(prob, x, tol))
 
 
@@ -94,7 +87,7 @@ def tangent_K_contains(prob: Problem, x, h, tol: float = DEFAULT_TOL) -> bool:
     """Direction test for the box: h >= 0 where the lower bound is active,
     h <= 0 where the upper bound is active (within tol)."""
     x = _vec(prob, x, "x")
-    h = _vec(prob, h, "h")
+    h = _finite(prob, h, "h")
     part = _box_partition(prob, x, tol)
     if np.any(h[part.lower_only | part.both] < -tol):
         return False
@@ -108,8 +101,8 @@ def radial_K_witness(prob: Problem, x, h) -> float | None:
     an atom sitting on a bound with the step pointing outward fails.
     """
     x = _vec(prob, x, "x")
-    h = _vec(prob, h, "h")
-    _require_in_box(prob, x, DEFAULT_TOL)
+    h = _finite(prob, h, "h")
+    _require_member(_box_violations(prob, x, DEFAULT_TOL), "point")
     t0 = math.inf
     for i in range(prob.size):
         if h[i] > 0.0:
@@ -132,18 +125,21 @@ def radial_K_witness(prob: Problem, x, h) -> float | None:
 def normal_K_contains(prob: Problem, x, zeta, tol: float = DEFAULT_TOL) -> bool:
     """Sign test for the box normal cone: zeta <= 0 where only the lower
     bound is active, zeta = 0 on inactive atoms, zeta >= 0 where only the
-    upper bound is active; atoms pinched by equal bounds are unconstrained."""
+    upper bound is active; atoms pinched by equal bounds are unconstrained.
+    Activity is read at ``tol``, a sign breach at ``SIGN`` with scale
+    ``max |zeta|`` (README, "Tolerances"), as in ``kkt.split_zeta``."""
     x = _vec(prob, x, "x")
     zeta = _vec(prob, zeta, "zeta")
-    return _sign_residual(_box_partition(prob, x, tol), zeta) <= tol
+    return within(_sign_residual(_box_partition(prob, x, tol), zeta), SIGN,
+                  float(np.max(np.abs(zeta))), tol)
 
 
 def tangent_P_contains(prob: Problem, x, y, tol: float = DEFAULT_TOL) -> bool:
     """Direction test for the polyhedron: nonpositive pairing with every
     tight inequality, zero pairing with every equality (within tol)."""
     x = _vec(prob, x, "x")
-    y = _vec(prob, y, "y")
-    _require_in_poly(prob, x, tol)
+    y = _finite(prob, y, "y")
+    _require_member(_row_violations(prob, x, tol), "point")
     active = row_activity(prob.G_w, prob.a, x, tol)
     if np.any(prob.G_w[active] @ y > tol):
         return False
@@ -244,7 +240,7 @@ def sum_NK_NP_contains(prob: Problem, x, xi, tol: float = DEFAULT_TOL) -> SumMem
     sets and pairs positively with ``xi``.
     """
     x = _vec(prob, x, "x")
-    xi = _vec(prob, xi, "xi")
+    xi = _finite(prob, xi, "xi")
     mult, d = decompose_into_normal_sum(prob, regions(prob, x, tol), xi, None, tol)
     if mult is None:
         return SumMembership(False, direction=d)
@@ -262,16 +258,15 @@ def closure_sequence(prob: Problem, x, zeta_cert, xi, k: float,
     """
     x = _vec(prob, x, "x")
     zeta = _vec(prob, zeta_cert, "zeta_cert")
-    xi = _vec(prob, xi, "xi")
+    xi = _finite(prob, xi, "xi")
     if not k >= 1:
         raise PreconditionError("the truncation index k must be at least 1")
     reg = regions(prob, x, tol)
-    if not _sign_residual(reg, -zeta) <= tol:
+    if not within(_sign_residual(reg, -zeta), SIGN, 1.0, tol):
         raise PreconditionError("certificate is not the negative of a box normal")
-    got, _ = _exact_poly_membership(prob, x, zeta, reg.lin_active, tol)
-    if got is None:
+    if not _in_poly_normal(prob, zeta, reg.lin_active, tol):
         raise PreconditionError("certificate is not a polyhedron normal at x")
-    zscale = tol * max(1.0, float(np.max(np.abs(zeta))))
+    zscale = threshold(SIGN, float(np.max(np.abs(zeta))), tol)
     zero = np.abs(zeta) <= zscale
     if np.any(np.abs(xi[zero]) > tol * np.maximum(1.0, np.abs(xi[zero]))):
         raise PreconditionError("xi must vanish wherever the certificate does")
@@ -283,20 +278,13 @@ def closure_sequence(prob: Problem, x, zeta_cert, xi, k: float,
     return out
 
 
-def _exact_poly_membership(prob: Problem, x, zeta, active_ineq, tol):
-    """Feasibility of ``zeta = sum alpha g (active) + sum beta h`` exactly."""
-    active = sorted(active_ineq)
-    m_eq = prob.n_eq
-    nv = len(active) + m_eq
-    if nv == 0:
-        ok = float(np.max(np.abs(zeta))) <= tol if zeta.size else True
-        return (({}, np.zeros(0)), None) if ok else (None, None)
-    cols = [prob.ineq[k][0] for k in active] + [prob.eq[j][0] for j in range(m_eq)]
-    A = np.array(cols).T
-    lo = np.concatenate([np.zeros(len(active)), np.full(m_eq, -math.inf)])
-    hi = np.full(nv, math.inf)
-    out = lpmod.feasibility(A, ("==",) * prob.size, zeta, lo, hi, tol=tol)
-    if out.status is lpmod.LpStatus.OPTIMAL:
-        alpha = {k: float(out.x[t]) for t, k in enumerate(active)}
-        return ((alpha, out.x[len(active):]), None)
-    return None, None
+def _in_poly_normal(prob: Problem, zeta, active, tol) -> bool:
+    """Whether ``zeta = sum alpha g + sum beta h`` exactly, with ``alpha >= 0``
+    over the ``active`` inequalities and ``beta`` free."""
+    cols = [prob.ineq[k][0] for k in active] + [h for h, _ in prob.eq]
+    if not cols:
+        return float(np.max(np.abs(zeta))) <= tol
+    lo = np.concatenate([np.zeros(len(active)), np.full(prob.n_eq, -math.inf)])
+    out = lpmod.feasibility(np.array(cols).T, ("==",) * prob.size, zeta, lo,
+                            np.full(len(cols), math.inf), tol=tol)
+    return out.status is lpmod.LpStatus.OPTIMAL

@@ -22,12 +22,13 @@ import numpy as np
 
 from . import cones
 from .cones import Multipliers
-from .errors import InfeasiblePointError, InvalidGradientError, PreconditionError
+from .errors import InvalidGradientError, PreconditionError
 from .model import (
     DEFAULT_TOL,
     Problem,
     _as_vector,
     _partition,
+    _require_member,
     check_feasible,
     conjugate_exponent,
     lp_norm,
@@ -35,6 +36,7 @@ from .model import (
     regions,
 )
 from .slater import SlaterReport, _linearized_search
+from .tolerances import RESIDUAL, SIGN, within
 
 __all__ = [
     "Multipliers",
@@ -101,7 +103,7 @@ def split_zeta(prob: Problem, x: np.ndarray, zeta: np.ndarray,
     """
     zeta = cones._vec(prob, zeta, "zeta")
     part = regions(prob, x, tol)
-    if not cones._sign_residual(part, zeta) <= tol * max(1.0, float(np.max(np.abs(zeta)))):
+    if not within(cones._sign_residual(part, zeta), SIGN, float(np.max(np.abs(zeta))), tol):
         raise PreconditionError(
             "density violates the active-bound sign pattern; cannot split")
     _, za, zb = cones._split(part, zeta)
@@ -152,12 +154,7 @@ def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
     linearized interior-point gate if ``slopes`` (every smooth constraint's
     slope at ``xbar``) are given, then the split of ``-grad_f`` over the
     active slopes."""
-    rep = check_feasible(prob, xbar, tol)
-    if not rep.feasible:
-        worst = rep.violations[0]
-        raise InfeasiblePointError(
-            f"base point violates {worst.kind}[{worst.index}] "
-            f"by {worst.residual:.3g}")
+    _require_member(check_feasible(prob, xbar, tol).violations, "base point")
     part = _partition(prob, xbar, tol)
     diagnostics = {"active_ineq": list(part.lin_active)}
     slater, extra = None, [slopes[i] for i in part.nl_active] if slopes else []
@@ -243,7 +240,9 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     between multipliers and their slacks.  The bound sign pattern and the
     smooth constraints' slopes are read from what a recovered set carries,
     which belongs to the point it was recovered at; a set built by hand is
-    tested at ``xbar``.
+    tested at ``xbar``.  ``ok`` holds the residual and complementarity to
+    ``RESIDUAL`` scaled by ``max |grad_f|`` and the signs to ``SIGN``, a
+    bound-density breach scaled by ``max |zeta|`` (README, "Tolerances").
     """
     xbar = np.asarray(xbar, dtype=float)
     grad_f = np.asarray(grad_f, dtype=float)
@@ -275,7 +274,7 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     if part is None:
         part = cones._box_partition(prob, xbar, tol)
     zeta_res = cones._sign_residual(part, mult.zeta)
-    if not zeta_res <= tol * max(1.0, float(np.max(np.abs(mult.zeta), initial=0.0))):
+    if not within(zeta_res, SIGN, float(np.max(np.abs(mult.zeta), initial=0.0)), tol):
         sign_viol = max(sign_viol, zeta_res)
 
     fin_lo = np.isfinite(prob.lower)
@@ -291,9 +290,9 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     for i, w in mult.gamma.items():
         comp_ineq = max(comp_ineq, abs(w * prob.nonlinear[i].value(xbar)))
 
-    scale = max(1.0, float(np.max(np.abs(grad_f), initial=0.0)))
-    ok = (residual_max <= 100 * tol * scale and sign_viol <= tol
-          and max(abs(comp_lo), abs(comp_hi), comp_ineq) <= 100 * tol * scale)
+    scale = float(np.max(np.abs(grad_f), initial=0.0))
+    ok = (within(residual_max, RESIDUAL, scale, tol) and within(sign_viol, SIGN, 1.0, tol)
+          and within(max(abs(comp_lo), abs(comp_hi), comp_ineq), RESIDUAL, scale, tol))
     return StationarityReport(
         residual=r, residual_max=residual_max, residual_dual_norm=residual_dual,
         sign_violation=sign_viol, complementarity_lower=comp_lo,

@@ -25,9 +25,9 @@ tableau simplex (Dantzig's upper-bounding technique):
 ``LpOutcome.iterations`` counts pivots and bound flips alike.  A working
 tableau above a fixed memory cap is refused (``NumericalFailureError``)
 before it is allocated.  Every outcome is re-checked on the original rows
-and bounds at a threshold scaled by the largest coefficient, right-hand side
-or objective entry (bounds take no part); a failed check gives
-``NUMERICAL_FAILURE``, never a wrong certificate.
+and bounds at the ``RESIDUAL`` threshold (README, "Tolerances"), scaled by
+the largest coefficient, right-hand side or objective entry (bounds take no
+part); a failed check gives ``NUMERICAL_FAILURE``, never a wrong certificate.
 
 An iteration is a pricing pass, a ratio test of about fifteen vector
 operations on the entering column and a rank-one update in row blocks: on a
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError
+from .tolerances import RESIDUAL, threshold
 
 __all__ = ["LpStatus", "LinearProgram", "VubRows", "FarkasCertificate", "LpOutcome", "solve",
            "feasibility", "DEFAULT_FEAS_TOL", "DEFAULT_PIVOT_TOL"]
@@ -714,7 +715,7 @@ def feasibility(A, rel, b, lower, upper, tol: float = DEFAULT_FEAS_TOL) -> LpOut
 def _solve_once(lp: LinearProgram, tol: float, pivot_tol: float,
                 max_iter: int | None) -> LpOutcome:
     tb, scale = _Tableau(lp, pivot_tol), _data_scale(lp)
-    vt = 50.0 * tol * scale  # the acceptance threshold of every post-hoc check
+    vt = threshold(RESIDUAL, scale, tol)  # the acceptance threshold of every post-hoc check
     max_iter = 2000 + 20 * (tb.nr + tb.nc) if max_iter is None else max_iter
 
     def failure(message: str) -> LpOutcome:

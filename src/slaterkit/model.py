@@ -23,6 +23,7 @@ from .errors import (
     InfeasiblePointError,
     VoidProblemError,
 )
+from .tolerances import PINCH, within
 
 __all__ = [
     "MeasureSpace",
@@ -306,7 +307,7 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     passes no comparison, so it shows up as a violation.
     """
     xv = _as_vector(x, prob.size, "x")
-    bad = _linear_violations(prob, xv, tol)
+    bad = _box_violations(prob, xv, tol) + _row_violations(prob, xv, tol)
     for i, con in enumerate(prob.nonlinear):
         val = con.value(xv)
         if not val <= tol:
@@ -314,20 +315,32 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     return FeasibilityReport(not bad, tuple(bad))
 
 
-def _linear_violations(prob: Problem, xv: np.ndarray, tol: float) -> list[Violation]:
-    """The box and linear-row part of :func:`check_feasible`."""
+def _require_member(bad: Sequence[Violation], what: str) -> None:
+    """Raise :class:`InfeasiblePointError` naming the first of ``bad``, if any."""
+    if bad:
+        v = bad[0]
+        raise InfeasiblePointError(f"{what} violates {v.kind}[{v.index}] by {v.residual:.3g}")
+
+
+def _box_violations(prob: Problem, xv: np.ndarray, tol: float) -> list[Violation]:
+    """The box part of :func:`check_feasible`: every atom below or above
+    its bound by more than ``tol``, or NaN."""
     lo, hi = prob.lower, prob.upper
     bad = [Violation("lower", int(i), float(lo[i] - xv[i]))
            for i in np.nonzero(~(xv >= lo - tol))[0]]
-    bad += [Violation("upper", int(i), float(xv[i] - hi[i]))
-            for i in np.nonzero(~(xv <= hi + tol))[0]]
-    val = prob.G_w @ xv
-    bad += [Violation("ineq", int(i), float(val[i] - prob.a[i]))
-            for i in np.nonzero(~(val <= prob.a + tol))[0]]
-    miss = np.abs(prob.H_w @ xv - prob.b)
-    bad += [Violation("eq", int(j), float(miss[j]))
-            for j in np.nonzero(~(miss <= tol))[0]]
-    return bad
+    return bad + [Violation("upper", int(i), float(xv[i] - hi[i]))
+                  for i in np.nonzero(~(xv <= hi + tol))[0]]
+
+
+def _row_violations(rows, xv: np.ndarray, tol: float) -> list[Violation]:
+    """The row part of :func:`check_feasible`, inequalities first, for any
+    holder of weighted rows ``G_w, a, H_w, b``; NaN counts as violated."""
+    val = rows.G_w @ xv
+    bad = [Violation("ineq", int(i), float(val[i] - rows.a[i]))
+           for i in np.nonzero(~(val <= rows.a + tol))[0]]
+    miss = np.abs(rows.H_w @ xv - rows.b)
+    return bad + [Violation("eq", int(j), float(miss[j]))
+                  for j in np.nonzero(~(miss <= tol))[0]]
 
 
 def bound_activity(prob: Problem, x: np.ndarray, tol: float = DEFAULT_TOL):
@@ -347,9 +360,8 @@ def bound_activity(prob: Problem, x: np.ndarray, tol: float = DEFAULT_TOL):
 
 
 def _pinched(prob: Problem, tol: float) -> np.ndarray:
-    """Atoms whose bounds pinch, ``upper - lower <= 2 tol``: only a wider gap
-    has a midpoint clearing each bound by more than ``tol``."""
-    return prob.upper - prob.lower <= 2 * tol
+    """Atoms whose bounds pinch: ``upper - lower`` within ``PINCH`` tol."""
+    return within(prob.upper - prob.lower, PINCH, 1.0, tol)
 
 
 def row_activity(G_w: np.ndarray, a: np.ndarray, x: np.ndarray,
@@ -397,12 +409,7 @@ def regions(prob: Problem, x, tol: float = DEFAULT_TOL) -> RegionPartition:
         If ``x`` fails :func:`check_feasible` at the same tolerance.
     """
     xv = _as_vector(x, prob.size, "x")
-    report = check_feasible(prob, xv, tol)
-    if not report.feasible:
-        worst = max(report.violations, key=lambda v: v.residual)
-        raise InfeasiblePointError(
-            f"point is infeasible: {worst.kind}[{worst.index}] violated by {worst.residual:.3e}"
-        )
+    _require_member(check_feasible(prob, xv, tol).violations, "point")
     return _partition(prob, xv, tol)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     InconsistentEqualitiesError,
     NumericalFailureError,
 )
-from .model import DEFAULT_TOL, MeasureSpace, Problem, weighted_rows
+from .model import DEFAULT_TOL, MeasureSpace, Problem, _row_violations, weighted_rows
 
 __all__ = [
     "EqReduction",
@@ -88,9 +88,7 @@ class MfcqSystem:
 
     def is_member(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Membership of ``x`` in the rewritten polyhedron within ``tol``."""
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.G_w @ x <= self.a + tol)
-                    and np.all(np.abs(self.H_w @ x - self.b) <= tol))
+        return not _row_violations(self, np.asarray(x, dtype=float), tol)
 
 
 def _slack_lp(prob: Problem, tol: float):

@@ -21,14 +21,16 @@ import numpy as np
 from . import lp as lpmod
 from .errors import (
     ConstructionFailedError,
-    InfeasiblePointError,
     NumericalFailureError,
     PreconditionError,
 )
 from .model import (
     DEFAULT_TOL,
     Problem,
+    _box_violations,
     _pinched,
+    _require_member,
+    _row_violations,
     _smooth_active,
     bound_activity,
     check_feasible,
@@ -37,6 +39,7 @@ from .model import (
     pairing,
     weighted_rows,
 )
+from .tolerances import RESIDUAL, threshold
 
 __all__ = [
     "SlaterReport",
@@ -105,18 +108,15 @@ def _report_scales(prob: Problem) -> np.ndarray:
     return scale
 
 
+def _scaled_gap(prob: Problem, x: np.ndarray, scale: np.ndarray) -> float:
+    """Least distance of ``x`` to a bound, per atom divided by ``scale``: inf
+    when no bound is finite, NaN when ``x`` has a NaN."""
+    return float(np.min(np.concatenate([x - prob.lower, prob.upper - x]) / np.tile(scale, 2)))
+
+
 def interior_margin(prob: Problem, x: np.ndarray) -> float:
     """Scaled distance of ``x`` to the nearest finite bound (inf if none)."""
-    x = np.asarray(x, dtype=float)
-    scale = _report_scales(prob)
-    gaps = []
-    fin_lo = np.isfinite(prob.lower)
-    fin_hi = np.isfinite(prob.upper)
-    if fin_lo.any():
-        gaps.append(np.min((x[fin_lo] - prob.lower[fin_lo]) / scale[fin_lo]))
-    if fin_hi.any():
-        gaps.append(np.min((prob.upper[fin_hi] - x[fin_hi]) / scale[fin_hi]))
-    return float(min(gaps)) if gaps else math.inf
+    return _scaled_gap(prob, np.asarray(x, dtype=float), _report_scales(prob))
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,12 @@ def _split_rows(ml: _MarginLp, v: np.ndarray):
 
 
 def _margin_threshold(prob: Problem, ml: _MarginLp, tol: float) -> float:
-    """The LP kernel's acceptance threshold ``50 tol scale`` for the LP in
-    ``(x, t)``, whose scale is its largest coefficient or right-hand side."""
+    """The LP kernel's ``RESIDUAL`` threshold for the LP in ``(x, t)``, whose
+    scale is its largest coefficient or right-hand side."""
     parts = (prob.G_w, prob.H_w, ml.C, ml.sv, prob.a, prob.b, ml.r,
              prob.lower[np.isfinite(prob.lower)], prob.upper[np.isfinite(prob.upper)])
-    return 50.0 * tol * max([1.0] + [float(np.max(np.abs(v))) for v in parts if v.size])
+    scale = max([1.0] + [float(np.max(np.abs(v))) for v in parts if v.size])
+    return threshold(RESIDUAL, scale, tol)
 
 
 def _margin_violation(prob: Problem, ml: _MarginLp, x: np.ndarray, t: float) -> float:
@@ -342,12 +343,7 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
         If ``xbar`` is not feasible for the full problem.
     """
     xbar = np.asarray(xbar, dtype=float)
-    report = check_feasible(prob, xbar, tol)
-    if not report:
-        worst = report.violations[0]
-        raise InfeasiblePointError(
-            f"linearization point is infeasible: {worst.kind}[{worst.index}] "
-            f"violated by {worst.residual:.3g}")
+    _require_member(check_feasible(prob, xbar, tol).violations, "linearization point")
     return _linearized_search(prob, xbar, [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
                                            for i in _smooth_active(prob, xbar, tol)], tol)
 
@@ -398,11 +394,7 @@ def density_construction(prob: Problem, xbar: np.ndarray,
         idx = int(np.argmax(pinched))
         raise PreconditionError(
             f"bounds pinch atom {idx}; no interior point can exist")
-    below = xbar < prob.lower - tol
-    above = xbar > prob.upper + tol
-    if below.any() or above.any():
-        idx = int(np.argmax(below | above))
-        raise InfeasiblePointError(f"point leaves the box at atom {idx}")
+    _require_member(_box_violations(prob, xbar, tol), "point")
     x = np.clip(xbar, prob.lower, prob.upper)
 
     both, lower_only, upper_only, _ = bound_activity(prob, x, tol)
@@ -438,47 +430,31 @@ def combine_slater(prob: Problem, ring: np.ndarray, tilde: np.ndarray,
         If no dyadic blend down to 2**-40 verifies (a tolerance report, not
         a mathematical claim).
     """
-    m = prob.size
     ring = np.asarray(ring, dtype=float)
     tilde = np.asarray(tilde, dtype=float)
     strict = set(int(i) for i in strict_ineq)
     bad = [i for i in strict if not 0 <= i < prob.n_ineq]
     if bad:
         raise PreconditionError(f"strict inequality index {bad[0]} out of range")
-    scale = _bound_scales(prob)
-
-    if (ring < prob.lower - tol).any() or (ring > prob.upper + tol).any():
+    if _box_violations(prob, ring, tol):
         raise PreconditionError("slack point leaves the box")
-    G, a, H, b = prob.G_w, prob.a, prob.H_w, prob.b
-    ring_eq = np.abs(H @ ring - b) > tol
-    tilde_eq = np.abs(H @ tilde - b) > tol
-    if (ring_eq | tilde_eq).any():
-        j = int(np.argmax(ring_eq | tilde_eq))
-        who = "slack" if ring_eq[j] else "interior"
-        raise PreconditionError(f"{who} point misses equality {j}")
     is_strict = np.isin(np.arange(prob.n_ineq), list(strict))
-    v_ring = G @ ring
-    ring_loose = is_strict & (v_ring > a - tol)
-    ring_out = ~is_strict & (v_ring > a + tol)
-    tilde_out = ~is_strict & (G @ tilde > a + tol)
-    if (ring_loose | ring_out | tilde_out).any():
-        i = int(np.argmax(ring_loose | ring_out | tilde_out))
-        if ring_loose[i]:
-            raise PreconditionError(f"slack point is not strictly inside inequality {i}")
-        who = "slack" if ring_out[i] else "interior"
-        raise PreconditionError(f"{who} point violates inequality {i}")
-    fin_lo = np.isfinite(prob.lower)
-    fin_hi = np.isfinite(prob.upper)
-    lo_gap = (tilde[fin_lo] - prob.lower[fin_lo]) / scale[fin_lo]
-    hi_gap = (prob.upper[fin_hi] - tilde[fin_hi]) / scale[fin_hi]
-    if (fin_lo.any() and lo_gap.min() <= tol) or (fin_hi.any() and hi_gap.min() <= tol):
+    loose = np.flatnonzero(is_strict & ~(prob.G_w @ ring <= prob.a - tol))
+    if loose.size:
+        raise PreconditionError(f"slack point is not strictly inside inequality {loose[0]}")
+    # the interior point need not keep the strict inequalities
+    for who, pt in (("slack", ring), ("interior", tilde)):
+        for v in _row_violations(prob, pt, tol):
+            if v.kind == "eq" or not is_strict[v.index]:
+                what = "misses equality" if v.kind == "eq" else "violates inequality"
+                raise PreconditionError(f"{who} point {what} {v.index}")
+    if not _scaled_gap(prob, tilde, _bound_scales(prob)) > tol:  # NaN fails too
         raise PreconditionError("interior point is not strictly inside the box")
 
     eps = 0.5
     while eps >= _MIN_BLEND:
         x = (1.0 - eps) * ring + eps * tilde
-        if (interior_margin(prob, x) > tol and np.all(G @ x <= a + tol)
-                and np.all(np.abs(H @ x - b) <= tol)):
+        if interior_margin(prob, x) > tol and not _row_violations(prob, x, tol):
             return x, eps
         eps /= 2.0
     raise ConstructionFailedError(

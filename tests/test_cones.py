@@ -54,6 +54,28 @@ class TestTangentK:
             tangent_K_contains(prob, np.array([math.nan, 0.5]), np.zeros(2))
 
 
+class TestNonFiniteDirection:
+    """A NaN direction or functional passes every sign comparison, so it is
+    refused."""
+
+    @pytest.mark.parametrize("test", [tangent_K_contains, tangent_P_contains,
+                                      radial_K_witness])
+    def test_nan_direction_rejected(self, test):
+        prob = Problem(MeasureSpace(np.ones(2)), 2.0, np.zeros(2), np.ones(2),
+                       ((np.ones(2), 1.0),), ())
+        with pytest.raises(PreconditionError, match="must be finite"):
+            test(prob, np.array([0.0, 0.5]), np.array([math.nan, 0.0]))
+
+    def test_nan_functional_rejected(self):
+        prob = Problem(MeasureSpace(np.ones(2)), 2.0, np.zeros(2), np.ones(2),
+                       ((np.array([1.0, 0.0]), 0.0),), ())
+        xi = np.array([math.nan, 0.0])
+        with pytest.raises(PreconditionError, match="must be finite"):
+            sum_NK_NP_contains(prob, np.zeros(2), xi)
+        with pytest.raises(PreconditionError, match="must be finite"):
+            closure_sequence(prob, np.zeros(2), np.array([1.0, 0.0]), xi, 2.0)
+
+
 class TestRadialWitness:
     """Largest step staying inside the box."""
 

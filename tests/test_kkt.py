@@ -193,8 +193,8 @@ class TestOneActivityRule:
 
     def _case(self, rng):
         """Box with one-sided, two-sided, pinched and free atoms, a point on,
-        near or off its bounds, and a signed density of size at most one
-        with breaches either well inside or well outside ``TOL``."""
+        near or off its bounds, and a signed density of size up to 1e3 with
+        breaches either well inside or well outside ``TOL * max |zeta|``."""
         m = int(rng.integers(1, 7))
         tol = self.TOL
         lower, upper, x = np.empty(m), np.empty(m), np.empty(m)
@@ -208,9 +208,10 @@ class TestOneActivityRule:
             base = anchors[rng.integers(len(anchors))]
             x[i] = base + tol * rng.choice([0.0, 0.0, 0.5, -0.5, 3.0, -3.0, 1e6, -1e6])
             x[i] = min(max(x[i], lo - 0.5 * tol), hi + 0.5 * tol)
-        zeta = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m)
+        zeta = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=m) * rng.choice([1.0, 30.0, 1e3])
         tiny = rng.random(m) < 0.4
-        zeta[tiny] = tol * rng.choice([-3.0, -0.3, 0.3, 3.0], size=int(tiny.sum()))
+        size = max(1.0, float(np.max(np.abs(zeta[~tiny]), initial=0.0)))
+        zeta[tiny] = tol * size * rng.choice([-3.0, -0.3, 0.3, 3.0], size=int(tiny.sum()))
         prob = Problem(MeasureSpace(rng.integers(1, 3, size=m).astype(float)), 2.0,
                        lower, upper, (), ())
         return prob, x, zeta

@@ -513,6 +513,11 @@ class TestDensityConstruction:
         with pytest.raises(PreconditionError):
             density_construction(prob, np.zeros(1), np.ones(1))
 
+    def test_nan_point_is_outside_the_box(self):
+        prob = _prob([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], ineq=[(np.ones(2), 1.0)])
+        with pytest.raises(InfeasiblePointError):
+            density_construction(prob, np.array([math.nan, 0.0]))
+
 
 class TestCombineSlater:
     """Blend of a strictly-slack point with a box-interior point."""
@@ -534,6 +539,15 @@ class TestCombineSlater:
         prob = _prob([1.0], [0.0], [1.0], eq=[(np.ones(1), 0.5)])
         with pytest.raises(PreconditionError):
             combine_slater(prob, np.array([0.9]), np.array([0.5]), set())
+
+    @pytest.mark.parametrize("rows", [[(np.ones(2), 1.0)], []])
+    @pytest.mark.parametrize("nan_ring", [True, False])
+    def test_nan_point_rejected(self, rows, nan_ring):
+        prob = _prob([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], ineq=rows)
+        good, bad = np.array([0.25, 0.25]), np.array([math.nan, 0.25])
+        ring, tilde = (bad, good) if nan_ring else (good, bad)
+        with pytest.raises(PreconditionError):
+            combine_slater(prob, ring, tilde, set())
 
 
 class TestFindLinearizedSlater:
