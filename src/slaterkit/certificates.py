@@ -215,9 +215,10 @@ def build_bad_functional(prob: Problem, xbar: np.ndarray,
     ------
     PreconditionError
         If the certificate support is empty, the profile name is unknown,
-        or ``xbar`` differs from the certificate's base point.
+        or ``xbar`` is not finite or differs from the certificate's base
+        point.
     """
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = _as_vector(xbar, prob.size, "base point", nonfinite=PreconditionError)
     if xbar.shape != cert.base_point.shape or not np.allclose(
             xbar, cert.base_point, atol=1e-12, rtol=0.0):
         raise PreconditionError(

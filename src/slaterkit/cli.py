@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from . import selftest as selftest_mod
 from .certificates import (
     MODELS,
     build_no_slater_certificate,
@@ -388,8 +387,9 @@ def _cmd_selftest(args, tol):
         except ValueError:
             raise _UsageError(f"--criteria must be comma-separated integers, "
                               f"got {args.criteria!r}") from None
+    from . import selftest  # loads the exact oracles; no other command needs them
     try:
-        results = selftest_mod.run(tol, criteria, emit=print)
+        results = selftest.run(tol, criteria, emit=print)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     payload = {

@@ -5,6 +5,9 @@ which bound is active at each atom; for the polyhedron ``P`` it is the set
 of tight inequalities.  Membership of a functional in ``N_K + N_P`` is an
 LP-feasibility question over the cone coefficients; its failure produces a
 separating tangent direction out of the LP's infeasibility certificate.
+
+A point outside the set it is tested in raises InfeasiblePointError, and a
+non-finite direction, density or functional PreconditionError (README, "Inputs").
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
-from .errors import NumericalFailureError, PreconditionError
-from .model import (DEFAULT_TOL, Problem, RegionPartition, _box_violations, _require_member,
-                    _row_violations, bound_activity, pairing, regions, row_activity)
+from .errors import (InfeasiblePointError, InvalidGradientError, NumericalFailureError,
+                     PreconditionError)
+from .model import (DEFAULT_TOL, Problem, RegionPartition, _as_vector, _box_violations,
+                    _require_member, _row_violations, bound_activity, pairing, regions,
+                    row_activity)
 from .tolerances import SIGN, threshold, within
 
 __all__ = [
@@ -30,20 +35,6 @@ __all__ = [
     "sum_NK_NP_contains",
     "closure_sequence",
 ]
-
-
-def _vec(prob: Problem, v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (prob.size,):
-        raise PreconditionError(f"{name} must have length {prob.size}")
-    return arr
-
-
-def _finite(prob: Problem, v, name: str) -> np.ndarray:
-    arr = _vec(prob, v, name)
-    if not np.isfinite(arr).all():  # a NaN passes every sign comparison
-        raise PreconditionError(f"{name} must be finite")
-    return arr
 
 
 def _sign_residual(part: RegionPartition, zeta: np.ndarray) -> float:
@@ -86,8 +77,8 @@ def _box_partition(prob: Problem, x: np.ndarray, tol: float) -> RegionPartition:
 def tangent_K_contains(prob: Problem, x, h, tol: float = DEFAULT_TOL) -> bool:
     """Direction test for the box: h >= 0 where the lower bound is active,
     h <= 0 where the upper bound is active (within tol)."""
-    x = _vec(prob, x, "x")
-    h = _finite(prob, h, "h")
+    x = _as_vector(x, prob.size, "x")
+    h = _as_vector(h, prob.size, "h", nonfinite=PreconditionError)
     part = _box_partition(prob, x, tol)
     if np.any(h[part.lower_only | part.both] < -tol):
         return False
@@ -100,26 +91,14 @@ def radial_K_witness(prob: Problem, x, h) -> float | None:
     Returns None when no positive step stays inside.  The test is exact:
     an atom sitting on a bound with the step pointing outward fails.
     """
-    x = _vec(prob, x, "x")
-    h = _finite(prob, h, "h")
+    x = _as_vector(x, prob.size, "x")
+    h = _as_vector(h, prob.size, "h", nonfinite=PreconditionError)
     _require_member(_box_violations(prob, x, DEFAULT_TOL), "point")
-    t0 = math.inf
-    for i in range(prob.size):
-        if h[i] > 0.0:
-            gap = prob.upper[i] - x[i]
-            if gap == math.inf:
-                continue
-            if gap <= 0.0:
-                return None
-            t0 = min(t0, gap / h[i])
-        elif h[i] < 0.0:
-            gap = x[i] - prob.lower[i]
-            if gap == math.inf:
-                continue
-            if gap <= 0.0:
-                return None
-            t0 = min(t0, gap / (-h[i]))
-    return t0
+    gap = np.where(h > 0.0, prob.upper - x, np.where(h < 0.0, x - prob.lower, math.inf))
+    moving = gap < math.inf
+    if np.any(gap[moving] <= 0.0):
+        return None
+    return float(np.min(gap[moving] / np.abs(h[moving]), initial=math.inf))
 
 
 def normal_K_contains(prob: Problem, x, zeta, tol: float = DEFAULT_TOL) -> bool:
@@ -128,17 +107,18 @@ def normal_K_contains(prob: Problem, x, zeta, tol: float = DEFAULT_TOL) -> bool:
     upper bound is active; atoms pinched by equal bounds are unconstrained.
     Activity is read at ``tol``, a sign breach at ``SIGN`` with scale
     ``max |zeta|`` (README, "Tolerances"), as in ``kkt.split_zeta``."""
-    x = _vec(prob, x, "x")
-    zeta = _vec(prob, zeta, "zeta")
+    x = _as_vector(x, prob.size, "x")
+    zeta = _as_vector(zeta, prob.size, "zeta", nonfinite=PreconditionError)
     return within(_sign_residual(_box_partition(prob, x, tol), zeta), SIGN,
                   float(np.max(np.abs(zeta))), tol)
 
 
 def tangent_P_contains(prob: Problem, x, y, tol: float = DEFAULT_TOL) -> bool:
     """Direction test for the polyhedron: nonpositive pairing with every
-    tight inequality, zero pairing with every equality (within tol)."""
-    x = _vec(prob, x, "x")
-    y = _finite(prob, y, "y")
+    tight inequality, zero pairing with every equality (within tol).  The
+    box is not tested, so a non-finite ``x`` is refused directly."""
+    x = _as_vector(x, prob.size, "x", nonfinite=InfeasiblePointError)
+    y = _as_vector(y, prob.size, "y", nonfinite=PreconditionError)
     _require_member(_row_violations(prob, x, tol), "point")
     active = row_activity(prob.G_w, prob.a, x, tol)
     if np.any(prob.G_w[active] @ y > tol):
@@ -192,16 +172,19 @@ def decompose_into_normal_sum(prob: Problem, part: RegionPartition, xi: np.ndarr
     ``(Multipliers, None)``, which makes the output canonical.  On failure
     returns ``(None, d)`` where ``d`` is a separating direction built from
     the LP's Farkas ray: it is tangent to box and polyhedron and pairs
-    positively with ``xi``.
+    positively with ``xi``.  ``xi`` must be finite (PreconditionError), and
+    so must each slope in ``extra`` (InvalidGradientError).
     """
-    extra = extra or []
+    xi = _as_vector(xi, prob.size, "xi", nonfinite=PreconditionError)
+    extra = [_as_vector(e, prob.size, f"extra[{i}]", nonfinite=InvalidGradientError)
+             for i, e in enumerate(extra or [])]
     active = part.lin_active
     m_eq = prob.n_eq
     n_alpha, n_gamma = len(active), len(extra)
     nv = n_alpha + 2 * m_eq + n_gamma
 
     gens = ([prob.ineq[k][0] for k in active] + [h for h, _ in prob.eq]
-            + [-h for h, _ in prob.eq] + [np.asarray(e, dtype=float) for e in extra])
+            + [-h for h, _ in prob.eq] + extra)
     G = np.array(gens).T if gens else np.zeros((prob.size, 0))  # atoms x vars
 
     atoms, rel = _sign_rows(part)
@@ -239,8 +222,6 @@ def sum_NK_NP_contains(prob: Problem, x, xi, tol: float = DEFAULT_TOL) -> SumMem
     separating direction ``d`` with max-norm one that is tangent to both
     sets and pairs positively with ``xi``.
     """
-    x = _vec(prob, x, "x")
-    xi = _finite(prob, xi, "xi")
     mult, d = decompose_into_normal_sum(prob, regions(prob, x, tol), xi, None, tol)
     if mult is None:
         return SumMembership(False, direction=d)
@@ -254,11 +235,11 @@ def closure_sequence(prob: Problem, x, zeta_cert, xi, k: float,
     Where the certificate is positive the result is ``min(xi, k * zeta)``,
     where negative ``max(xi, k * zeta)``, elsewhere zero.  Requires a
     certificate ``zeta_cert`` lying in ``N_P(x)`` with ``-zeta_cert`` in
-    ``N_K(x)``, and ``xi`` vanishing wherever the certificate does.
+    ``N_K(x)``, and ``xi`` vanishing wherever the certificate does; both
+    must be finite.
     """
-    x = _vec(prob, x, "x")
-    zeta = _vec(prob, zeta_cert, "zeta_cert")
-    xi = _finite(prob, xi, "xi")
+    zeta = _as_vector(zeta_cert, prob.size, "zeta_cert", nonfinite=PreconditionError)
+    xi = _as_vector(xi, prob.size, "xi", nonfinite=PreconditionError)
     if not k >= 1:
         raise PreconditionError("the truncation index k must be at least 1")
     reg = regions(prob, x, tol)

@@ -27,6 +27,7 @@ from .model import (
     DEFAULT_TOL,
     Problem,
     _as_vector,
+    _constraint_slope,
     _partition,
     _require_member,
     check_feasible,
@@ -98,26 +99,19 @@ def split_zeta(prob: Problem, x: np.ndarray, zeta: np.ndarray,
 
     Raises
     ------
+    InfeasiblePointError
+        If ``x`` is not feasible.
     PreconditionError
-        If ``zeta`` has the wrong sign somewhere or lives on inactive atoms.
+        If ``zeta`` is not finite, has the wrong sign somewhere or lives on
+        inactive atoms.
     """
-    zeta = cones._vec(prob, zeta, "zeta")
+    zeta = _as_vector(zeta, prob.size, "zeta", nonfinite=PreconditionError)
     part = regions(prob, x, tol)
     if not within(cones._sign_residual(part, zeta), SIGN, float(np.max(np.abs(zeta))), tol):
         raise PreconditionError(
             "density violates the active-bound sign pattern; cannot split")
     _, za, zb = cones._split(part, zeta)
     return za, zb
-
-
-def _point_and_slope(prob: Problem, xbar, grad_f):
-    """``xbar`` and ``grad_f`` as float vectors of the problem's length,
-    with a finite slope."""
-    xbar = _as_vector(xbar, prob.size, "base point")
-    grad_f = _as_vector(grad_f, prob.size, "objective slope")
-    if not np.all(np.isfinite(grad_f)):
-        raise InvalidGradientError("objective slope must be finite")
-    return xbar, grad_f
 
 
 def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
@@ -131,8 +125,6 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
 
     Raises
     ------
-    DimensionMismatchError
-        If ``xbar`` or ``grad_f`` does not have one entry per atom.
     InfeasiblePointError
         If ``xbar`` is not feasible.
     InvalidGradientError
@@ -144,18 +136,20 @@ def recover_multipliers_linear(prob: Problem, xbar: np.ndarray,
     if prob.nonlinear:
         raise PreconditionError(
             "problem has smooth constraints; use recover_multipliers_nonlinear")
-    xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
-    return _recover(prob, xbar, grad_f, tol, slopes=None)
+    return _recover(prob, xbar, grad_f, tol, fd_rel_tol=None)
 
 
-def _recover(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray, tol: float,
-             slopes: list | None) -> KktOutcome:
-    """One feasibility check and one activity pass at ``xbar``, the
-    linearized interior-point gate if ``slopes`` (every smooth constraint's
-    slope at ``xbar``) are given, then the split of ``-grad_f`` over the
+def _recover(prob: Problem, xbar, grad_f, tol: float,
+             fd_rel_tol: float | None) -> KktOutcome:
+    """One feasibility check and one activity pass at ``xbar``; with
+    ``fd_rel_tol``, the smooth constraints' validated slopes there and the
+    linearized interior-point gate; then the split of ``-grad_f`` over the
     active slopes."""
+    xbar = _as_vector(xbar, prob.size, "base point")
+    grad_f = _as_vector(grad_f, prob.size, "objective slope", nonfinite=InvalidGradientError)
     _require_member(check_feasible(prob, xbar, tol).violations, "base point")
     part = _partition(prob, xbar, tol)
+    slopes = None if fd_rel_tol is None else validate_gradients(prob, xbar, fd_rel_tol)
     diagnostics = {"active_ineq": list(part.lin_active)}
     slater, extra = None, [slopes[i] for i in part.nl_active] if slopes else []
     if slopes is not None:
@@ -184,17 +178,17 @@ def validate_gradients(prob: Problem, xbar: np.ndarray,
 
     Raises
     ------
+    PreconditionError
+        If ``xbar`` is not finite.
     InvalidGradientError
-        Naming the first constraint and atom that disagree.
+        If a returned slope has the wrong length or is not finite, or
+        naming the first constraint and atom that disagree.
     """
-    xbar, slopes = np.asarray(xbar, dtype=float), []
+    xbar = _as_vector(xbar, prob.size, "base point", nonfinite=PreconditionError)
+    slopes = []
     for i, con in enumerate(prob.nonlinear):
-        grad = np.asarray(con.grad(xbar), dtype=float)
+        grad = _constraint_slope(prob, i, xbar)
         slopes.append(grad)
-        if grad.shape != (prob.size,):
-            raise InvalidGradientError(
-                f"smooth constraint {i} returned a slope of length {grad.size}, "
-                f"expected {prob.size}")
         expected = grad * prob.space.weights
         scale = max(1.0, float(np.max(np.abs(expected))))
         for k in range(prob.size):
@@ -223,10 +217,13 @@ def recover_multipliers_nonlinear(prob: Problem, xbar: np.ndarray,
 
     Raises
     ------
-    DimensionMismatchError, InvalidGradientError, InfeasiblePointError
+    InfeasiblePointError
+        If ``xbar`` is not feasible (checked before the slopes).
+    InvalidGradientError
+        If ``grad_f`` or a constraint's slope is not finite, or a slope
+        disagrees with finite differences.
     """
-    xbar, grad_f = _point_and_slope(prob, xbar, grad_f)
-    return _recover(prob, xbar, grad_f, tol, validate_gradients(prob, xbar, fd_rel_tol))
+    return _recover(prob, xbar, grad_f, tol, fd_rel_tol)
 
 
 def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
@@ -243,31 +240,31 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     tested at ``xbar``.  ``ok`` holds the residual and complementarity to
     ``RESIDUAL`` scaled by ``max |grad_f|`` and the signs to ``SIGN``, a
     bound-density breach scaled by ``max |zeta|`` (README, "Tolerances").
+
+    Raises
+    ------
+    PreconditionError, InvalidGradientError
+        If ``xbar``, respectively ``grad_f``, is not finite.
+    InfeasiblePointError
+        If a hand-built set is tested at an ``xbar`` outside the box.
     """
-    xbar = np.asarray(xbar, dtype=float)
-    grad_f = np.asarray(grad_f, dtype=float)
+    xbar = _as_vector(xbar, prob.size, "base point", nonfinite=PreconditionError)
+    grad_f = _as_vector(grad_f, prob.size, "objective slope", nonfinite=InvalidGradientError)
     r = grad_f + mult.zeta
     for i, w in mult.alpha.items():
-        g, _ = prob.ineq[i]
-        r = r + w * np.asarray(g, dtype=float)
+        r = r + w * prob.ineq[i][0]
     for j in range(prob.n_eq):
-        h, _ = prob.eq[j]
-        r = r + mult.beta[j] * np.asarray(h, dtype=float)
+        r = r + mult.beta[j] * prob.eq[j][0]
     slopes = mult._slopes or {}
     for i, w in mult.gamma.items():
-        r = r + w * (slopes[i] if i in slopes else
-                     np.asarray(prob.nonlinear[i].grad(xbar), dtype=float))
+        r = r + w * (slopes[i] if i in slopes else _constraint_slope(prob, i, xbar))
     q = conjugate_exponent(prob.p)
     residual_max = float(np.max(np.abs(r))) if r.size else 0.0
     residual_dual = lp_norm(prob.space, r, q)
 
-    sign_viol = 0.0
-    if mult.alpha:
-        sign_viol = max(sign_viol, max(-w for w in mult.alpha.values()))
-    if mult.gamma:
-        sign_viol = max(sign_viol, max(-w for w in mult.gamma.values()))
-    sign_viol = max(sign_viol, float(np.max(-mult.zeta_lower, initial=0.0)))
-    sign_viol = max(sign_viol, float(np.max(-mult.zeta_upper, initial=0.0)))
+    sign_viol = max([0.0, *(-w for w in mult.alpha.values()), *(-w for w in mult.gamma.values()),
+                     float(np.max(-mult.zeta_lower, initial=0.0)),
+                     float(np.max(-mult.zeta_upper, initial=0.0))])
     # a breach of the bound sign pattern within the density's own rounding
     # scale is not reported
     part = mult._partition
@@ -277,8 +274,7 @@ def verify_stationarity(prob: Problem, xbar: np.ndarray, grad_f: np.ndarray,
     if not within(zeta_res, SIGN, float(np.max(np.abs(mult.zeta), initial=0.0)), tol):
         sign_viol = max(sign_viol, zeta_res)
 
-    fin_lo = np.isfinite(prob.lower)
-    fin_hi = np.isfinite(prob.upper)
+    fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
     comp_lo = float(np.sum(mult.zeta_lower[fin_lo] * (xbar - prob.lower)[fin_lo]
                            * prob.space.weights[fin_lo]))
     comp_hi = float(np.sum(mult.zeta_upper[fin_hi] * (prob.upper - xbar)[fin_hi]

@@ -8,6 +8,9 @@ against those weights, so a vector ``g`` acts on a vector ``x`` through
 * a box ``lower <= x <= upper`` read pointwise (bounds may be infinite),
 * finitely many weighted linear inequalities and equalities,
 * optionally finitely many smooth scalar inequality constraints.
+
+A per-atom argument of the wrong shape raises DimensionMismatchError here
+and in every module built on this one (README, "Inputs").
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InfeasiblePointError,
+    InvalidGradientError,
     VoidProblemError,
 )
 from .tolerances import PINCH, within
@@ -47,16 +51,27 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _as_vector(values, size: int | None = None, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _as_vector(values, size: int | None = None, name: str = "vector",
+               nonfinite: type[Exception] | None = None) -> np.ndarray:
+    """``values`` as a float vector of ``size`` entries (a scalar broadcasts):
+    the one conversion of a caller's per-atom array (README, "Inputs").
+
+    A wrong shape raises DimensionMismatchError.  A NaN or infinite entry
+    raises ``nonfinite``; with None it passes (a membership check then
+    fails it, and arithmetic passes it on).
+    """
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        raise DimensionMismatchError(f"{name} is not an array of real numbers") from None
     if arr.ndim == 0 and size is not None:
         arr = np.full(size, float(arr))
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if size is not None and arr.shape[0] != size:
-        raise DimensionMismatchError(
-            f"{name} has length {arr.shape[0]}, expected {size}"
-        )
+        raise DimensionMismatchError(f"{name} has length {arr.shape[0]}, expected {size}")
+    if nonfinite is not None and not np.isfinite(arr).all():
+        raise nonfinite(f"{name} must be finite")
     return arr
 
 
@@ -226,9 +241,7 @@ class Problem:
 
     @staticmethod
     def _frozen(values, size, name) -> np.ndarray:
-        arr = _as_vector(values, size, name).copy()
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatchError(f"{name} must be finite")
+        arr = _as_vector(values, size, name, nonfinite=DimensionMismatchError).copy()
         arr.setflags(write=False)
         return arr
 
@@ -256,7 +269,7 @@ def conjugate_exponent(p: float) -> float:
 
 
 def pairing(space: MeasureSpace, g, x) -> float:
-    """Weighted pairing ``sum_i g[i] * x[i] * w[i]``."""
+    """Weighted pairing ``sum_i g[i] * x[i] * w[i]``; a NaN entry gives NaN."""
     m = space.size
     gv = _as_vector(g, m, "g")
     xv = _as_vector(x, m, "x")
@@ -267,7 +280,7 @@ def lp_norm(space: MeasureSpace, x, p: float) -> float:
     """Weighted p-norm; for ``p = inf`` the plain maximum of ``|x|``.
 
     Every atom has positive weight, so the essential supremum over the grid
-    is the maximum.
+    is the maximum.  A NaN entry gives NaN.
     """
     m = space.size
     xv = _as_vector(x, m, "x")
@@ -304,11 +317,14 @@ def check_feasible(prob: Problem, x, tol: float = DEFAULT_TOL) -> FeasibilityRep
     inequality holds up to ``tol``, every equality holds within ``tol``, and
     every smooth constraint value is ``<= tol``.  The report lists every
     violated constraint together with its residual.  A NaN coordinate
-    passes no comparison, so it shows up as a violation.
+    passes no comparison and an infinite one is no real value, so either
+    shows up as a box violation (and the smooth constraints, defined at real
+    points only, are not evaluated).
     """
     xv = _as_vector(x, prob.size, "x")
     bad = _box_violations(prob, xv, tol) + _row_violations(prob, xv, tol)
-    for i, con in enumerate(prob.nonlinear):
+    # smooth constraints are defined at real points; the box has reported the rest
+    for i, con in enumerate(prob.nonlinear if np.isfinite(xv).all() else ()):
         val = con.value(xv)
         if not val <= tol:
             bad.append(Violation("nonlinear", i, float(val)))
@@ -324,17 +340,20 @@ def _require_member(bad: Sequence[Violation], what: str) -> None:
 
 def _box_violations(prob: Problem, xv: np.ndarray, tol: float) -> list[Violation]:
     """The box part of :func:`check_feasible`: every atom below or above
-    its bound by more than ``tol``, or NaN."""
+    its bound by more than ``tol``, NaN, or infinite (on the side it points
+    to, also where that bound is infinite)."""
     lo, hi = prob.lower, prob.upper
-    bad = [Violation("lower", int(i), float(lo[i] - xv[i]))
-           for i in np.nonzero(~(xv >= lo - tol))[0]]
-    return bad + [Violation("upper", int(i), float(xv[i] - hi[i]))
-                  for i in np.nonzero(~(xv <= hi + tol))[0]]
+    bad = [Violation("lower", int(i), float(lo[i]) - float(xv[i]))
+           for i in np.nonzero(~(xv >= lo - tol) | (xv == -math.inf))[0]]
+    return bad + [Violation("upper", int(i), float(xv[i]) - float(hi[i]))
+                  for i in np.nonzero(~(xv <= hi + tol) | (xv == math.inf))[0]]
 
 
 def _row_violations(rows, xv: np.ndarray, tol: float) -> list[Violation]:
     """The row part of :func:`check_feasible`, inequalities first, for any
-    holder of weighted rows ``G_w, a, H_w, b``; NaN counts as violated."""
+    holder of weighted rows ``G_w, a, H_w, b``; NaN counts as violated, and
+    an infinite coordinate leaves every pairing undefined (NaN)."""
+    xv = np.where(np.isinf(xv), math.nan, xv)
     val = rows.G_w @ xv
     bad = [Violation("ineq", int(i), float(val[i] - rows.a[i]))
            for i in np.nonzero(~(val <= rows.a + tol))[0]]
@@ -373,6 +392,16 @@ def row_activity(G_w: np.ndarray, a: np.ndarray, x: np.ndarray,
 def _smooth_active(prob: Problem, x: np.ndarray, tol: float) -> tuple[int, ...]:
     """Smooth constraints active at ``x``: value within ``tol`` of zero."""
     return tuple(i for i, con in enumerate(prob.nonlinear) if abs(con.value(x)) <= tol)
+
+
+def _constraint_slope(prob: Problem, i: int, x: np.ndarray) -> np.ndarray:
+    """Smooth constraint ``i``'s slope at ``x``: a wrong length or a
+    non-finite entry is the constraint's fault, an InvalidGradientError."""
+    try:
+        return _as_vector(prob.nonlinear[i].grad(x), prob.size,
+                          f"smooth constraint {i}'s slope", nonfinite=InvalidGradientError)
+    except DimensionMismatchError as exc:
+        raise InvalidGradientError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     InconsistentEqualitiesError,
     NumericalFailureError,
 )
-from .model import DEFAULT_TOL, MeasureSpace, Problem, _row_violations, weighted_rows
+from .model import DEFAULT_TOL, MeasureSpace, Problem, _as_vector, _row_violations, weighted_rows
 
 __all__ = [
     "EqReduction",
@@ -87,8 +87,9 @@ class MfcqSystem:
         object.__setattr__(self, "b", b)
 
     def is_member(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership of ``x`` in the rewritten polyhedron within ``tol``."""
-        return not _row_violations(self, np.asarray(x, dtype=float), tol)
+        """Membership of ``x`` in the rewritten polyhedron within ``tol``;
+        DimensionMismatchError for a wrong length."""
+        return not _row_violations(self, _as_vector(x, self.space.size, "x"), tol)
 
 
 def _slack_lp(prob: Problem, tol: float):

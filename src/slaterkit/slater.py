@@ -27,7 +27,9 @@ from .errors import (
 from .model import (
     DEFAULT_TOL,
     Problem,
+    _as_vector,
     _box_violations,
+    _constraint_slope,
     _pinched,
     _require_member,
     _row_violations,
@@ -90,21 +92,14 @@ class SlaterReport:
         return self.found
 
 
-def _bound_scales(prob: Problem) -> np.ndarray:
-    """Per-atom margin scale: half the gap when both bounds are finite."""
+def _half_gap_scales(prob: Problem, clip) -> np.ndarray:
+    """Per-atom ``clip(1, half the gap)`` where both bounds are finite, else 1:
+    with ``np.minimum`` the margin scale, with ``np.maximum`` the divisor of
+    reported margins (half-gaps below 2 count raw)."""
     lo, hi = prob.lower, prob.upper
     scale = np.ones(prob.size)
     both = np.isfinite(lo) & np.isfinite(hi)
-    scale[both] = np.minimum(1.0, (hi[both] - lo[both]) / 2.0)
-    return scale
-
-
-def _report_scales(prob: Problem) -> np.ndarray:
-    """Per-atom divisor for reported margins: half-gaps below 2 count raw."""
-    lo, hi = prob.lower, prob.upper
-    scale = np.ones(prob.size)
-    both = np.isfinite(lo) & np.isfinite(hi)
-    scale[both] = np.maximum(1.0, (hi[both] - lo[both]) / 2.0)
+    scale[both] = clip(1.0, (hi[both] - lo[both]) / 2.0)
     return scale
 
 
@@ -115,18 +110,19 @@ def _scaled_gap(prob: Problem, x: np.ndarray, scale: np.ndarray) -> float:
 
 
 def interior_margin(prob: Problem, x: np.ndarray) -> float:
-    """Scaled distance of ``x`` to the nearest finite bound (inf if none)."""
-    return _scaled_gap(prob, np.asarray(x, dtype=float), _report_scales(prob))
+    """Scaled distance of ``x`` to the nearest finite bound (inf if none);
+    NaN if ``x`` has a NaN."""
+    return _scaled_gap(prob, _as_vector(x, prob.size, "x"), _half_gap_scales(prob, np.maximum))
 
 
 @dataclass(frozen=True)
 class _MarginLp:
     """The margin LP over ``(u, t)`` and what maps its answers back to ``x``.
 
-    ``x = u + shift * t``; ``scale`` is :func:`_bound_scales`; ``two``
-    lists the two-sided atoms, whose rows come first; ``C``, ``sv`` and
-    ``r`` are the caller-supplied rows ``C x + sv t <= r`` with ``C``
-    weighted.
+    ``x = u + shift * t``; ``scale`` is the margin scale (see
+    :func:`_half_gap_scales`); ``two`` lists the two-sided atoms, whose rows
+    come first; ``C``, ``sv`` and ``r`` are the caller-supplied rows
+    ``C x + sv t <= r`` with ``C`` weighted.
     """
 
     lp: lpmod.LinearProgram
@@ -155,7 +151,7 @@ def _margin_lp(prob: Problem, extra_rows) -> _MarginLp:
     rows; below that they are the first rows of ``A``.
     """
     m = prob.size
-    scale = _bound_scales(prob)
+    scale = _half_gap_scales(prob, np.minimum)
     fin_lo, fin_hi = np.isfinite(prob.lower), np.isfinite(prob.upper)
     d = np.where(fin_lo, scale, np.where(fin_hi, -scale, 0.0))
     two = np.flatnonzero(fin_lo & fin_hi)
@@ -341,10 +337,12 @@ def find_linearized_slater(prob: Problem, xbar: np.ndarray,
     ------
     InfeasiblePointError
         If ``xbar`` is not feasible for the full problem.
+    InvalidGradientError
+        If an active constraint's slope has the wrong length or is not finite.
     """
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = _as_vector(xbar, prob.size, "linearization point")
     _require_member(check_feasible(prob, xbar, tol).violations, "linearization point")
-    return _linearized_search(prob, xbar, [np.asarray(prob.nonlinear[i].grad(xbar), dtype=float)
+    return _linearized_search(prob, xbar, [_constraint_slope(prob, i, xbar)
                                            for i in _smooth_active(prob, xbar, tol)], tol)
 
 
@@ -373,22 +371,15 @@ def density_construction(prob: Problem, xbar: np.ndarray,
     ------
     PreconditionError
         If some atom has equal (or indistinguishable) bounds, or ``w`` is
-        not strictly positive.
+        not finite and strictly positive.
     InfeasiblePointError
         If ``xbar`` lies outside the box by more than ``tol``.
     """
-    m = prob.size
-    xbar = np.asarray(xbar, dtype=float)
-    if xbar.shape != (m,):
-        raise PreconditionError(f"point has {xbar.size} atoms, expected {m}")
-    if w is None:
-        w = np.ones(m)
-    else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (m,):
-            raise PreconditionError(f"step profile has {w.size} atoms, expected {m}")
-        if not (w > 0).all():
-            raise PreconditionError("step profile must be strictly positive")
+    xbar = _as_vector(xbar, prob.size, "point")
+    w = _as_vector(1.0 if w is None else w, prob.size, "step profile",
+                   nonfinite=PreconditionError)
+    if not (w > 0).all():
+        raise PreconditionError("step profile must be strictly positive")
     pinched = _pinched(prob, tol)
     if pinched.any():
         idx = int(np.argmax(pinched))
@@ -425,13 +416,13 @@ def combine_slater(prob: Problem, ring: np.ndarray, tilde: np.ndarray,
     Raises
     ------
     PreconditionError
-        If either input point fails its side of the contract.
+        If either input point is not finite or fails its side of the contract.
     ConstructionFailedError
         If no dyadic blend down to 2**-40 verifies (a tolerance report, not
         a mathematical claim).
     """
-    ring = np.asarray(ring, dtype=float)
-    tilde = np.asarray(tilde, dtype=float)
+    ring = _as_vector(ring, prob.size, "slack point", nonfinite=PreconditionError)
+    tilde = _as_vector(tilde, prob.size, "interior point", nonfinite=PreconditionError)
     strict = set(int(i) for i in strict_ineq)
     bad = [i for i in strict if not 0 <= i < prob.n_ineq]
     if bad:
@@ -448,7 +439,7 @@ def combine_slater(prob: Problem, ring: np.ndarray, tilde: np.ndarray,
             if v.kind == "eq" or not is_strict[v.index]:
                 what = "misses equality" if v.kind == "eq" else "violates inequality"
                 raise PreconditionError(f"{who} point {what} {v.index}")
-    if not _scaled_gap(prob, tilde, _bound_scales(prob)) > tol:  # NaN fails too
+    if not _scaled_gap(prob, tilde, _half_gap_scales(prob, np.minimum)) > tol:
         raise PreconditionError("interior point is not strictly inside the box")
 
     eps = 0.5

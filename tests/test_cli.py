@@ -291,6 +291,16 @@ class TestSelftest:
         monkeypatch.setenv("SLATERKIT_TOL", "10")
         assert main(["selftest", "--criteria", "1", "--tol", "1e-9"]) == 0
 
+    def test_cli_import_leaves_selftest_unloaded(self):
+        """The selftest and its exact oracles load only when the command runs."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import sys, slaterkit.cli; "
+                "print(sorted({'slaterkit.selftest', 'slaterkit.oracles'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              timeout=120, check=True)
+        assert proc.stdout.decode("utf-8").strip() == "[]"
+
 
 class TestOversizedProgram:
     """An LP too large for the dense kernel is a numerical failure, exit 2."""
