@@ -157,13 +157,11 @@ class QuadraticConstraint:
         object.__setattr__(self, "c", float(self.c))
 
     def value(self, x: np.ndarray) -> float:
-        w = self.space.weights
-        xw = np.asarray(x, dtype=float) * w
+        xw = _as_vector(x, self.space.size, "x") * self.space.weights
         return float(0.5 * xw @ self.Q @ xw + self.q @ xw + self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        w = self.space.weights
-        return self.Q @ (np.asarray(x, dtype=float) * w) + self.q
+        return self.Q @ (_as_vector(x, self.space.size, "x") * self.space.weights) + self.q
 
 
 @dataclass(frozen=True)

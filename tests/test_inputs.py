@@ -64,6 +64,8 @@ CASES = {
     "pairing": Case(lambda g, x: sk.pairing(OPEN.space, g, x),
                     {"g": X, "x": X}, {"g": NAN, "x": NAN}),
     "lp_norm": Case(lambda x: sk.lp_norm(OPEN.space, x, 2.0), {"x": X}, {"x": NAN}),
+    "QuadraticConstraint.value": Case(QUAD.nonlinear[0].value, {"x": QUAD_X}, {"x": NAN}),
+    "QuadraticConstraint.grad": Case(QUAD.nonlinear[0].grad, {"x": QUAD_X}, {"x": NAN}),
     "check_feasible": Case(lambda x: sk.check_feasible(OPEN, x), {"x": X}, {"x": VIOLATION}),
     "regions": Case(lambda x: sk.regions(OPEN, x), {"x": X}, {"x": InfeasiblePointError}),
     "MfcqSystem.is_member": Case(SYSTEM.is_member, {"x": X}, {"x": NOT_MEMBER}),
@@ -166,7 +168,7 @@ def test_nonfinite_entry_gets_its_role_answer(name, arg, entry, atom):
     value = _with_entry(case.args[arg], atom, entry)
     if role == NAN:
         if math.isnan(entry):  # other non-finite arithmetic follows IEEE rules
-            assert math.isnan(_call(case, arg, value))
+            assert np.isnan(_call(case, arg, value)).any()
     elif role == VIOLATION:
         assert not _call(case, arg, value).feasible
     elif role == NOT_MEMBER:
